@@ -13,8 +13,6 @@ import json
 import statistics
 import sys
 import time
-from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -24,16 +22,6 @@ from .errors import CbdfError, NoAdmissibleRoot, UnknownProblem
 from .problems import bootstrap
 
 _TABLE_TOL = ImplicitSolveConfig(tol=1e-13, max_iterations=200)
-
-
-@dataclass
-class RunConfig:
-    """Parsed arguments of one CLI invocation."""
-
-    subcommand: str
-    options: dict = field(default_factory=dict)
-    output_path: Optional[str] = None
-    seed: int = 0
 
 
 def _fmt(x: float) -> str:
@@ -210,7 +198,6 @@ def _float_list(text: str):
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="cbdf", description=__doc__)
-    parser.add_argument("--seed", type=int, default=0, help="seed for randomized sweeps")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     sp = sub.add_parser("roots", help="sub-step fraction candidates for one base order")
@@ -259,32 +246,22 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    cfg = RunConfig(
-        subcommand=args.subcommand,
-        options={k: v for k, v in vars(args).items() if k not in ("subcommand", "seed", "out")},
-        output_path=getattr(args, "out", None),
-        seed=args.seed,
-    )
     try:
-        opts = cfg.options
-        if cfg.subcommand == "roots":
-            run_roots(opts["p"], opts["ratios"])
-        elif cfg.subcommand == "converge":
-            run_convergence(
-                _load_problem(opts["problem"]), opts["scheme"], opts["p"],
-                opts["taus"], cfg.output_path,
-            )
-        elif cfg.subcommand == "bench":
-            run_bench(_load_problem(opts["problem"]), opts["p"], opts["taus"], cfg.output_path)
-        elif cfg.subcommand == "stability":
-            run_stability(opts["order"], opts["scheme"], args)
-        elif cfg.subcommand == "bounds":
-            mode = "first-step" if opts["mode"] == "first" else "steady"
-            print(f"{adaptivity.min_ratio(opts['p'], mode):.4f}")
-        elif cfg.subcommand == "adaptive":
+        if args.subcommand == "roots":
+            run_roots(args.p, args.ratios)
+        elif args.subcommand == "converge":
+            run_convergence(_load_problem(args.problem), args.scheme, args.p, args.taus, args.out)
+        elif args.subcommand == "bench":
+            run_bench(_load_problem(args.problem), args.p, args.taus, args.out)
+        elif args.subcommand == "stability":
+            run_stability(args.order, args.scheme, args)
+        elif args.subcommand == "bounds":
+            mode = "first-step" if args.mode == "first" else "steady"
+            print(f"{adaptivity.min_ratio(args.p, mode):.4f}")
+        elif args.subcommand == "adaptive":
             run_adaptive(
-                _load_problem(opts["problem"]), opts["p"], opts["tol"], opts["tau0"],
-                clamps=not opts["no_clamps"], out_path=cfg.output_path,
+                _load_problem(args.problem), args.p, args.tol, args.tau0,
+                clamps=not args.no_clamps, out_path=args.out,
             )
     except (UnknownProblem, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

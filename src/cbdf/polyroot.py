@@ -1,8 +1,9 @@
-"""Dense complex linear solves and simultaneous-iteration polynomial roots.
+"""Dense complex linear solves and polynomial roots from companion eigenvalues.
 
-Everything downstream (coefficient generation, sub-step fraction solving,
-stability scans) funnels its linear algebra through these two entry points,
-so the error contracts live here and nowhere else.
+Coefficient generation and sub-step fraction solving funnel their linear
+algebra through these entry points, so the error contracts live here and
+nowhere else. Stability scans need no roots: ``stability`` classifies
+points by the Schur-Cohn recursion instead.
 """
 from __future__ import annotations
 
@@ -16,7 +17,6 @@ import scipy.linalg
 from .errors import DegreeZero, NoConvergence, SingularMatrix
 
 _PIVOT_RTOL = 1e-14
-_MAX_SWEEPS = 500
 
 
 @dataclass(frozen=True)
@@ -80,17 +80,6 @@ def solve_dense(matrix, rhs) -> np.ndarray:
     return scipy.linalg.lu_solve((lu, piv), b, check_finite=False)
 
 
-def _initial_circle(monic_rows: np.ndarray) -> np.ndarray:
-    """Perturbed-circle starting guesses, one circle per batch row."""
-    n = monic_rows.shape[1] - 1
-    radius = 1.0 + np.max(np.abs(monic_rows[:, :-1]), axis=1)
-    k = np.arange(n)
-    # phase offset and mild radius jitter break conjugate/rotation symmetry
-    angles = 2.0 * np.pi * k / n + 0.4
-    jitter = 1.0 + 1e-3 * (k + 1.0) / n
-    return radius[:, None] * (jitter * np.exp(1j * angles))[None, :]
-
-
 def _horner_batch(coeffs_asc: np.ndarray, z: np.ndarray) -> np.ndarray:
     acc = np.zeros_like(z)
     for j in range(coeffs_asc.shape[1] - 1, -1, -1):
@@ -98,37 +87,31 @@ def _horner_batch(coeffs_asc: np.ndarray, z: np.ndarray) -> np.ndarray:
     return acc
 
 
-def find_roots_batch(coeff_rows, max_sweeps: int = _MAX_SWEEPS) -> np.ndarray:
-    """Durand-Kerner sweep over a batch of same-degree polynomials.
+def find_roots_batch(coeff_rows) -> np.ndarray:
+    """Roots of a batch of same-degree polynomials, as companion eigenvalues.
 
     ``coeff_rows`` is [batch, degree+1] in ascending degree order with
     nonzero leading column. Returns roots as a [batch, degree] array
-    (unsorted). Raises NoConvergence if any row exhausts the budget.
+    (unsorted), each polished by two Newton passes. Raises ValueError on a
+    non-finite coefficient or a vanishing leading coefficient, and
+    NoConvergence when LAPACK's eigenvalue iteration fails.
     """
     c = np.asarray(coeff_rows, dtype=complex)
     n = c.shape[1] - 1
     if n < 1:
         raise DegreeZero("constant polynomial has no roots")
-    monic = c / c[:, -1:]
-    z = _initial_circle(monic)
-    active = np.ones(c.shape[0], dtype=bool)
-    for _ in range(max_sweeps):
-        za = z[active]
-        pv = _horner_batch(monic[active], za)
-        diff = za[:, :, None] - za[:, None, :]
-        idx = np.arange(n)
-        diff[:, idx, idx] = 1.0
-        w = pv / np.prod(diff, axis=2)
-        z[active] = za - w
-        step = np.max(np.abs(w), axis=1)
-        tol = 1e-13 * (1.0 + np.max(np.abs(z[active]), axis=1))
-        still = step > tol
-        sub = np.where(active)[0]
-        active[sub[~still]] = False
-        if not active.any():
-            break
-    else:
-        raise NoConvergence(f"{int(active.sum())} root sets unconverged after {max_sweeps} sweeps")
+    if not np.isfinite(c).all():
+        raise ValueError("polynomial coefficients must be finite")
+    if not c[:, -1].all():
+        raise ValueError("leading polynomial coefficient must be nonzero")
+    # companion matrix: ones on the subdiagonal, -monic coefficients last column
+    companion = np.zeros((c.shape[0], n, n), dtype=complex)
+    companion[:, np.arange(1, n), np.arange(n - 1)] = 1.0
+    companion[:, :, -1] = -c[:, :-1] / c[:, -1:]
+    try:
+        z = np.linalg.eigvals(companion)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"companion eigenvalues: {exc}") from exc
     # two Newton polish passes on the original coefficients
     dcoef = c[:, 1:] * np.arange(1, n + 1)
     for _ in range(2):
@@ -139,13 +122,13 @@ def find_roots_batch(coeff_rows, max_sweeps: int = _MAX_SWEEPS) -> np.ndarray:
     return z
 
 
-def find_roots(poly: ComplexPolynomial, max_sweeps: int = _MAX_SWEEPS) -> list:
+def find_roots(poly: ComplexPolynomial) -> list:
     """All complex roots (with multiplicity) of ``poly``, sorted by (Re, Im).
 
     Raises DegreeZero for constant input and NoConvergence when the
-    simultaneous iteration exhausts its sweep budget.
+    eigenvalue iteration fails.
     """
     if poly.degree < 1:
         raise DegreeZero("cannot take roots of a constant polynomial")
-    roots = find_roots_batch(np.array([poly.coefficients]), max_sweeps=max_sweeps)[0]
+    roots = find_roots_batch(np.array([poly.coefficients]))[0]
     return sorted((complex(r) for r in roots), key=lambda r: (r.real, r.imag))

@@ -1,8 +1,9 @@
 """Linear stability of the composed flow: characteristic polynomial over the
 scaled eigenvalue z, rasterized stability regions, and sector angles.
 
-Points are classified through the roots of the one-step recurrence
-polynomial; a point is stable when no root magnitude exceeds 1 + 1e-9.
+A point is stable when no root of the one-step recurrence polynomial has
+magnitude above 1 + 1e-9. Points are classified by the Schur-Cohn
+recursion on the polynomial's coefficients, with no roots computed.
 """
 from __future__ import annotations
 
@@ -16,9 +17,8 @@ import numpy as np
 from .bdf_core import coeff_fixed, g_closed_form
 from .composition import G_coefficients, build_setup
 from .errors import EmptySector, OrderOutOfRange
-from .polyroot import find_roots_batch
 
-_ABS_TOL = 1e-9  # non-strict root-magnitude inequality
+_ABS_TOL = 1e-9  # slack on the unit-disk root-magnitude bound
 _RAY_RADII = np.logspace(-3.0, 3.0, 200)
 _THETA_TOL = 0.05
 
@@ -60,14 +60,7 @@ def theta_coefficients(p: int, z: complex) -> tuple:
     """
     if not 1 <= p <= 8:
         raise OrderOutOfRange(f"base order must be in 1..8, got {p}")
-    a1, g, Gk = _uniform_stage_weights(p)
-    z = complex(z)
-    lead = a1 * z - g[0]
-    theta = [lead * (Gk[0] - (1.0 - a1) * z)]
-    for i in range(1, p):
-        theta.append(Gk[1] * g[i] + lead * Gk[i + 1])
-    theta.append(Gk[1] * g[p])
-    return tuple(theta)
+    return tuple(_char_rows(p + 1, np.array([z]), "composed")[0])
 
 
 def _char_rows(order: int, z: np.ndarray, scheme: str) -> np.ndarray:
@@ -98,16 +91,29 @@ def _char_rows(order: int, z: np.ndarray, scheme: str) -> np.ndarray:
 
 
 def _stable_mask(rows: np.ndarray) -> np.ndarray:
-    """Stability classification for a batch of descending coefficient rows."""
-    out = np.zeros(rows.shape[0], dtype=bool)
+    """Stability classification for a batch of descending coefficient rows.
+
+    Schur-Cohn recursion on Q(w) = P((1 + 1e-9) w): every root of P has
+    modulus below 1 + 1e-9 exactly when every root of Q lies strictly inside
+    the unit disk. A degree-k polynomial a_0 + ... + a_k w^k has that
+    property iff |a_0| < |a_k| and the degree k - 1 polynomial
+    (conj(a_k) a - a_0 conj(reversed a)) / w has it too, so k = n..1 takes
+    n vectorised passes over the batch and computes no roots.
+    """
     scale = np.max(np.abs(rows), axis=1)
-    # a vanishing leading coefficient means an escaping root: unstable
+    # a vanishing leading coefficient means an escaping root: unstable; a
+    # non-finite row fails this test too (nan scale or infinite threshold)
     regular = np.abs(rows[:, 0]) > 1e-13 * np.maximum(scale, 1e-300)
-    idx = np.where(regular)[0]
-    for lo in range(0, idx.size, 8192):
-        chunk = idx[lo : lo + 8192]
-        roots = find_roots_batch(rows[chunk, ::-1])  # batch solver wants ascending
-        out[chunk] = np.max(np.abs(roots), axis=1) <= 1.0 + _ABS_TOL
+    n = rows.shape[1] - 1
+    a = rows[regular, ::-1] * (1.0 + _ABS_TOL) ** np.arange(n + 1)
+    stable = np.ones(a.shape[0], dtype=bool)
+    for k in range(n, 0, -1):
+        a0, ak = a[:, :1], a[:, k:]
+        stable &= np.abs(a0[:, 0]) < np.abs(ak[:, 0])
+        a = (np.conj(ak) * a - a0 * np.conj(a[:, ::-1]))[:, 1:]
+        a /= np.maximum(np.max(np.abs(a), axis=1, keepdims=True), 1e-300)
+    out = np.zeros(rows.shape[0], dtype=bool)
+    out[regular] = stable
     return out
 
 

@@ -2,8 +2,8 @@
 import numpy as np
 import pytest
 
-from cbdf.errors import DegreeZero, SingularMatrix
-from cbdf.polyroot import ComplexPolynomial, find_roots, solve_dense
+from cbdf.errors import DegreeZero, NoConvergence, SingularMatrix
+from cbdf.polyroot import ComplexPolynomial, find_roots, find_roots_batch, solve_dense
 
 PRINTED_P2_ROOT = 0.4013648789516588 + 0.7409710153124752j
 
@@ -62,6 +62,35 @@ def test_roots_cubic_printed_pair():
 def test_roots_degree_zero():
     with pytest.raises(DegreeZero):
         find_roots(ComplexPolynomial((2.0,)))
+
+
+@pytest.mark.parametrize("bad", (np.nan, np.inf, complex(1.0, np.nan)))
+def test_roots_reject_nonfinite_coefficients(bad):
+    with pytest.raises(ValueError):
+        find_roots_batch([[bad, 1.0, 1.0]])
+
+
+def test_roots_reject_vanishing_leading_coefficient():
+    with pytest.raises(ValueError):
+        find_roots_batch([[1.0, 1.0, 1.0], [1.0, 1.0, 0.0]])
+
+
+def test_eigenvalue_failure_is_no_convergence(monkeypatch):
+    def fail(_):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvals", fail)
+    with pytest.raises(NoConvergence):
+        find_roots(ComplexPolynomial((1.0, -2.0, 2.0)))
+
+
+def test_roots_batch_rows_match_numpy(rng):
+    rows = rng.standard_normal((30, 6)) + 1j * rng.standard_normal((30, 6))
+    batch = find_roots_batch(rows)
+    assert batch.shape == (30, 5)
+    for row, roots in zip(rows, batch):
+        ref = np.roots(row[::-1])  # numpy wants descending coefficients
+        assert all(min(abs(r - s) for s in ref) < 1e-8 for r in roots)
 
 
 def test_roots_residual_contract(rng):

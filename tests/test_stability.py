@@ -1,12 +1,18 @@
 """Stability polynomial, region rasters, and sector angles."""
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cbdf.bdf_core import coeff_variable
 from cbdf.composition import solve_alpha1
 from cbdf.errors import EmptySector
 from cbdf.stability import (
+    _char_rows,
     _rays_stable,
+    _stable_mask,
     is_stable_point,
     region_raster,
     region_to_csv,
@@ -59,6 +65,47 @@ def test_is_stable_origin_and_axis():
 def test_composed8_off_axis_point():
     # far outside the narrow stable sector on the upper side
     assert not is_stable_point(8, -1.0 + 10.0j)
+
+
+_SCHEME_ORDERS = st.one_of(
+    st.tuples(st.just("composed"), st.integers(2, 9)),
+    st.tuples(st.just("bdf"), st.integers(1, 6)),
+)
+# z drawn in polar form, log-uniform radius over the range the angle rays sample
+_Z = st.builds(
+    lambda r, th: 10.0**r * complex(math.cos(th), math.sin(th)),
+    st.floats(-3.0, 3.0),
+    st.floats(0.0, 2.0 * math.pi),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(scheme_order=_SCHEME_ORDERS, z=_Z)
+def test_stable_mask_matches_root_oracle(scheme_order, z):
+    scheme, order = scheme_order
+    row = _char_rows(order, np.array([z]), scheme)
+    # a leading coefficient below 1e-13 of the largest one is tested below
+    assume(abs(row[0, 0]) > 1e-13 * np.max(np.abs(row)))
+    biggest = np.max(np.abs(np.roots(row[0])))
+    assume(abs(biggest - (1.0 + 1e-9)) > 1e-7)
+    assert _stable_mask(row)[0] == (biggest <= 1.0 + 1e-9)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(scheme_order=_SCHEME_ORDERS, z=_Z, rel=st.sampled_from((0.0, 1e-320, 1e-16, 1e-14)))
+def test_stable_mask_vanishing_leading_is_unstable(scheme_order, z, rel):
+    scheme, order = scheme_order
+    row = _char_rows(order, np.array([z]), scheme)
+    row[0, 0] = rel * np.max(np.abs(row))
+    assert not _stable_mask(row)[0]
+
+
+def test_stable_mask_nonfinite_rows_unstable():
+    rows = _char_rows(3, np.array([-1.0, -1.0, -1.0, -1.0]), "composed")
+    rows[1, 1] = np.nan
+    rows[2, 0] = np.inf
+    rows[3, 2] = complex(0.0, np.inf)
+    assert _stable_mask(rows).tolist() == [True, False, False, False]
 
 
 def test_raster_matches_pointwise():
