@@ -4,7 +4,7 @@ the admissible-ratio lower bounds, and the adaptive driver.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -36,19 +36,18 @@ class StepController:
     tol: float
     tau_min: float = 1e-12
     tau_max: float = math.inf
-    ell: float = field(default=0.0)
 
     def __post_init__(self):
-        if self.ell == 0.0:
-            object.__setattr__(self, "ell", ratio_clamp(self.p))
-        elif abs(self.ell - ratio_clamp(self.p)) > 1e-12:
-            raise ValueError(f"ell must follow the clamp rule; expected {ratio_clamp(self.p)}")
-        if not self.ell > 1.0:
-            raise ValueError("ell must exceed 1")
+        ratio_clamp(self.p)  # rejects an order outside 1..8
         if not self.tau_min < self.tau_max:
             raise ValueError("tau_min must be below tau_max")
         if not self.tol > 0:
             raise ValueError("tol must be positive")
+
+    @property
+    def ell(self) -> float:
+        """The ratio clamp ell_p of the base order."""
+        return ratio_clamp(self.p)
 
 
 def next_step(tau_n: float, e_n: float, ctl: StepController) -> float:
@@ -168,13 +167,11 @@ def adaptive_drive(
     window = bootstrap(problem, p, tau0, policy=bootstrap_policy)
     tau = float(tau0)
     rec = TrajectoryRecord([], [], [], [], [], [] if problem.exact is not None else None)
-    prev_a1 = None
     t = window.times[-1].real
     for _ in range(max_steps):
         if t >= t_end - 1e-14 * max(1.0, abs(t_end)):
             return rec
-        window, out = composed_step(problem.rhs, window, tau, solve_cfg, prev_alpha1=prev_a1)
-        prev_a1 = out.setup.alpha1
+        window, out = composed_step(problem.rhs, window, tau, solve_cfg)
         t = window.times[-1].real
         rec.times.append(t)
         rec.states.append(out.y_real.copy())

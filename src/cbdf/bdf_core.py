@@ -62,10 +62,6 @@ class HistoryWindow:
     def p(self) -> int:
         return len(self.times)
 
-    @property
-    def dim(self) -> int:
-        return self.states[0].shape[0]
-
     def advanced(self, t_new: complex, y_new) -> "HistoryWindow":
         """Drop the oldest node and append (t_new, y_new).
 
@@ -231,22 +227,21 @@ def check_order_conditions(coeffs: CoefficientSet, p: int) -> bool:
     return True
 
 
-def _residual(g, states, tau, rhs, t_new, y):
-    hist = sum(gi * s for gi, s in zip(g[1:], reversed(states)))
-    return g[0] * y + hist - tau * np.asarray(rhs(t_new, y), dtype=complex)
+def _residual(g0, hist, tau, rhs, t_new, y):
+    return g0 * y + hist - tau * np.asarray(rhs(t_new, y), dtype=complex)
 
 
-def _newton(g, states, tau, rhs, t_new, y0, cfg: ImplicitSolveConfig, budget: int):
+def _newton(g0, hist, tau, rhs, t_new, y0, cfg: ImplicitSolveConfig, budget: int):
     y = np.array(y0, dtype=complex)
     d = y.shape[0]
-    res = _residual(g, states, tau, rhs, t_new, y)
+    res = _residual(g0, hist, tau, rhs, t_new, y)
     for _ in range(budget):
         jac = np.empty((d, d), dtype=complex)
         for i in range(d):
             h = 1e-7 * (1.0 + abs(y[i]))
             yp = y.copy()
             yp[i] += h
-            jac[:, i] = (_residual(g, states, tau, rhs, t_new, yp) - res) / h
+            jac[:, i] = (_residual(g0, hist, tau, rhs, t_new, yp) - res) / h
         try:
             delta = solve_dense(jac, -res)
         except SingularMatrix as exc:
@@ -256,12 +251,12 @@ def _newton(g, states, tau, rhs, t_new, y0, cfg: ImplicitSolveConfig, budget: in
         norm0 = np.max(np.abs(res))
         for _ in range(30):
             y_try = y + lam * delta
-            res_try = _residual(g, states, tau, rhs, t_new, y_try)
+            res_try = _residual(g0, hist, tau, rhs, t_new, y_try)
             if np.max(np.abs(res_try)) < norm0 or lam < 1e-8:
                 break
             lam *= 0.5
         y = y + lam * delta
-        res = _residual(g, states, tau, rhs, t_new, y)
+        res = _residual(g0, hist, tau, rhs, t_new, y)
         if lam * np.max(np.abs(delta)) < cfg.tol:
             return y
     raise NoConvergence(f"newton exhausted {budget} iterations at t={t_new}")
@@ -284,15 +279,13 @@ def bdf_step(
     if not t_new.real > window.times[-1].real:
         raise ValueError("step must advance the real part of time")
     coeffs = coeff_variable(window.times, t_new)
-    g = coeffs.weights
-    states = [np.asarray(s, dtype=complex) for s in window.states]
-    hist = sum(gi * s for gi, s in zip(g[1:], reversed(states)))
+    g0, g = coeffs.weights[0], coeffs.weights[1:]
+    hist = sum(gi * s for gi, s in zip(g, reversed(window.states)))
 
-    y = np.array(states[-1], dtype=complex)
+    y = np.array(window.states[-1], dtype=complex)
     newton_budget = max(1, cfg.max_iterations // 2)
     if cfg.mode == "fixed-point-with-newton-fallback":
         prev_step = None
-        g0 = g[0]
         with np.errstate(all="ignore"):
             for _ in range(max(1, cfg.max_iterations - newton_budget)):
                 y_new = (tau * np.asarray(rhs(t_new, y), dtype=complex) - hist) / g0
@@ -305,6 +298,6 @@ def bdf_step(
                     break
                 prev_step = step
                 y = y_new
-        y = np.array(states[-1], dtype=complex)
-    y = _newton(g, states, tau, rhs, t_new, y, cfg, newton_budget)
+        y = np.array(window.states[-1], dtype=complex)
+    y = _newton(g0, hist, tau, rhs, t_new, y, cfg, newton_budget)
     return window.advanced(t_new, y), y

@@ -45,15 +45,12 @@ def integrate_fixed(problem, scheme: str, p: int, tau: float,
     window = bootstrap(problem, p, tau, policy="exact")
     n_total = round((problem.t_end - problem.t0) / tau)
     errors = {}
-    prev_a1 = None
     for n in range(p, n_total + 1):
         if scheme == "bdf":
             window, y = bdf_step(problem.rhs, window, tau, cfg)
             y_real = y.real
         elif scheme == "composed":
-            window, out = composition.composed_step(problem.rhs, window, tau, cfg,
-                                                    prev_alpha1=prev_a1)
-            prev_a1 = out.setup.alpha1
+            window, out = composition.composed_step(problem.rhs, window, tau, cfg)
             y_real = out.y_real
         else:
             raise ValueError(f"unknown scheme {scheme!r}")

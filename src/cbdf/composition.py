@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -44,7 +44,6 @@ class CompositionSetup:
     alpha1: complex
     alpha2: complex
     eps: tuple
-    eps_bar: tuple
     G: tuple
     error_constant: float
 
@@ -79,10 +78,6 @@ def ratios_from_window(window: HistoryWindow, tau: float) -> tuple:
     return tuple((t_last - window.times[window.p - j]) / tau for j in range(1, window.p + 1))
 
 
-def _poly_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.convolve(a, b)
-
-
 def _poly_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     n = max(len(a), len(b))
     return np.pad(a, (0, n - len(a))) + np.pad(b, (0, n - len(b)))
@@ -101,7 +96,7 @@ def alpha1_polynomial(ratios: Sequence[complex]) -> ComplexPolynomial:
     def prod_lin(idxs):
         poly = np.array([1.0 + 0j])
         for m in idxs:
-            poly = _poly_mul(poly, np.array([r[m], 1.0 + 0j]))
+            poly = np.convolve(poly, np.array([r[m], 1.0 + 0j]))
         return poly
 
     rest = list(range(1, p))
@@ -110,8 +105,8 @@ def alpha1_polynomial(ratios: Sequence[complex]) -> ComplexPolynomial:
     for j in rest:
         partials = _poly_add(partials, prod_lin([m for m in rest if m != j]))
     bracket = _poly_add(bracket, np.concatenate(([0j], partials)))
-    first = _poly_mul(np.array([1.0, -2.0, 1.0], dtype=complex), bracket)
-    second = _poly_mul(np.array([0.0, r[p - 1], 1.0], dtype=complex), prod_lin(rest))
+    first = np.convolve(np.array([1.0, -2.0, 1.0], dtype=complex), bracket)
+    second = np.convolve(np.array([0.0, r[p - 1], 1.0], dtype=complex), prod_lin(rest))
     return ComplexPolynomial(tuple(_poly_add(first, second)))
 
 
@@ -156,23 +151,20 @@ def G_coefficients(alpha1: complex, ratios: Sequence[complex]) -> tuple:
     return (complex(-np.sum(x)),) + tuple(complex(v) for v in x)
 
 
-def solve_alpha1(ratios: Sequence[complex], prev: Optional[complex] = None) -> complex:
+def solve_alpha1(ratios: Sequence[complex]) -> complex:
     """The admissible sub-step fraction for these ratios.
 
-    Among roots with positive real part, prefers positive imaginary part;
-    ties break toward ``prev`` (branch continuity) and then maximal real
-    part. Raises NoAdmissibleRoot when every root has Re <= 0.
+    Among roots with positive real part, prefers positive imaginary part,
+    then the largest real part. For real ratio ladders at most one root
+    lies in the open upper-right quadrant, so the choice depends on the
+    ratios alone. Raises NoAdmissibleRoot when every root has Re <= 0.
     """
     roots = find_roots(alpha1_polynomial(ratios))
     admissible = [z for z in roots if z.real > 0.0]
     if not admissible:
         raise NoAdmissibleRoot(f"no positive-real-part root for ratios {tuple(ratios)}")
     upper = [z for z in admissible if z.imag > 0.0]
-    pool = upper if upper else admissible
-    if prev is not None and len(pool) > 1:
-        root = min(pool, key=lambda z: abs(z - prev))
-    else:
-        root = max(pool, key=lambda z: z.real)
+    root = max(upper or admissible, key=lambda z: z.real)
     residual = abs(G_coefficients(root, ratios)[-1])
     if residual > 1e-9:
         raise NoConvergence(f"refined root leaves |G_(p+1)| = {residual:.3e}")
@@ -211,29 +203,12 @@ def gbar_fixed(p: int, alpha: complex) -> complex:
     return n / d
 
 
-def ebar_zero(alpha1: complex) -> complex:
-    return 1.0 - alpha1
-
-
-def error_constant(setup_or_alpha1, ratios: Optional[Sequence[complex]] = None) -> float:
-    """Real factor mapping the imaginary part to the local error of the real part.
-
-    Accepts either a CompositionSetup or an explicit (alpha1, ratios) pair.
-    """
-    if isinstance(setup_or_alpha1, CompositionSetup):
-        alpha1 = setup_or_alpha1.alpha1
-        ratios = setup_or_alpha1.ratios
-    else:
-        alpha1 = complex(setup_or_alpha1)
-        if ratios is None:
-            raise ValueError("ratios required when passing alpha1 directly")
-    r = tuple(complex(v) for v in ratios)
+def _error_constant(alpha1: complex, r: tuple, eps: tuple, G: tuple) -> float:
+    """Error constant from the offsets eps_j = 1 + r_j/alpha1 and the weights G."""
     p = len(r)
-    eps = tuple(1.0 + rv / alpha1 for rv in r)
     g = g_closed_form(eps)
     g0 = g[0]
-    G = G_coefficients(alpha1, r)
-    ebar = (ebar_zero(alpha1),) + tuple(1.0 + rv for rv in r)
+    ebar = (1.0 - alpha1,) + tuple(1.0 + rv for rv in r)
     acc = sum((G[i + 1] - G[1] / g0 * g[i]) * ebar[i] ** (p + 2) for i in range(p + 1))
     acc += (p + 2) * alpha1 * ebar[0] ** (p + 1)
     curly = (-1) ** (p + 2) / math.factorial(p + 2) * acc
@@ -243,15 +218,28 @@ def error_constant(setup_or_alpha1, ratios: Optional[Sequence[complex]] = None) 
     return ratio.real / ratio.imag
 
 
+def error_constant(alpha1: complex, ratios: Sequence[complex]) -> float:
+    """Real factor mapping the imaginary part to the local error of the real part.
+
+    ``alpha1`` need not solve the fraction equation; ``build_setup`` stores
+    the same value for the admissible root of ``ratios``.
+    """
+    alpha1 = complex(alpha1)
+    r = tuple(complex(v) for v in ratios)
+    eps = tuple(1.0 + rv / alpha1 for rv in r)
+    return _error_constant(alpha1, r, eps, G_coefficients(alpha1, r))
+
+
 def _cache_key(ratios: tuple) -> tuple:
     return tuple((round(v.real, 12), round(v.imag, 12)) for v in ratios)
 
 
-def build_setup(ratios: Sequence[complex], prev_alpha1: Optional[complex] = None) -> CompositionSetup:
+def build_setup(ratios: Sequence[complex]) -> CompositionSetup:
     """Solve the fraction equation and assemble all per-step constants.
 
-    Results are memoized on the (rounded) ratio tuple, so fixed-grid runs
-    pay for the root solve once.
+    Results are memoized on the ratio tuple rounded to 12 decimals, so
+    fixed-grid runs pay for the root solve once; a hit returns the setup
+    built for the first ratios with that key.
     """
     r = tuple(complex(v) for v in ratios)
     key = _cache_key(r)
@@ -259,7 +247,7 @@ def build_setup(ratios: Sequence[complex], prev_alpha1: Optional[complex] = None
     if hit is not None:
         _SETUP_CACHE.move_to_end(key)
         return hit
-    alpha1 = solve_alpha1(r, prev=prev_alpha1)
+    alpha1 = solve_alpha1(r)
     eps = tuple(1.0 + rv / alpha1 for rv in r)
     G = G_coefficients(alpha1, r)
     setup = CompositionSetup(
@@ -268,9 +256,8 @@ def build_setup(ratios: Sequence[complex], prev_alpha1: Optional[complex] = None
         alpha1=alpha1,
         alpha2=1.0 - alpha1,
         eps=eps,
-        eps_bar=(ebar_zero(alpha1),) + tuple(1.0 + rv for rv in r),
         G=G,
-        error_constant=error_constant(alpha1, r),
+        error_constant=_error_constant(alpha1, r, eps, G),
     )
     while len(_SETUP_CACHE) >= _SETUP_CACHE_MAX:
         _SETUP_CACHE.popitem(last=False)
@@ -283,17 +270,17 @@ def composed_step(
     window: HistoryWindow,
     tau: float,
     cfg: ImplicitSolveConfig = ImplicitSolveConfig(),
-    prev_alpha1: Optional[complex] = None,
 ) -> tuple:
     """One composed step: two base sub-steps with complex fractions.
 
     Returns ``(new_window, output)``. The forwarded window carries the real
     part of the composed result at the real node t_{n-1} + tau; the full
     complex result, the intermediate state, and the per-step constants ride
-    along in the output record.
+    along in the output record. The sub-step fraction comes from the
+    window's step ratios alone.
     """
     tau = float(tau)
-    setup = build_setup(ratios_from_window(window, tau), prev_alpha1)
+    setup = build_setup(ratios_from_window(window, tau))
     t_last = window.times[-1]
     mid_window, y_half = bdf_step(rhs, window, setup.alpha1 * tau, cfg)
     _, y_hat = bdf_step(rhs, mid_window, (t_last + tau) - mid_window.times[-1], cfg)

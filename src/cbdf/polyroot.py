@@ -48,13 +48,6 @@ class ComplexPolynomial:
             acc = acc * x + c
         return acc
 
-    def derivative(self) -> "ComplexPolynomial":
-        if self.degree == 0:
-            return ComplexPolynomial((0j,))
-        return ComplexPolynomial(
-            tuple(k * c for k, c in enumerate(self.coefficients) if k > 0)
-        )
-
 
 def solve_dense(matrix, rhs) -> np.ndarray:
     """Solve A x = b by LU with partial pivoting.

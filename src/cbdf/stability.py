@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .bdf_core import coeff_fixed, g_closed_form
-from .composition import G_coefficients, build_setup
+from .composition import build_setup
 from .errors import EmptySector, OrderOutOfRange
 
 _ABS_TOL = 1e-9  # slack on the unit-disk root-magnitude bound
@@ -48,7 +48,7 @@ def _uniform_stage_weights(p: int):
     ratios = tuple(float(j - 1) for j in range(1, p + 1))
     setup = build_setup(ratios)
     g = g_closed_form(setup.eps)
-    Gk = G_coefficients(setup.alpha1, ratios)[: p + 1]
+    Gk = setup.G[: p + 1]
     return setup.alpha1, g, Gk
 
 

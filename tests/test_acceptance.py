@@ -290,11 +290,9 @@ def _fidelity_run(prob, p, tau):
     """Propagating fixed-step run; per-step (exact error, |Im|) pairs."""
     window = bootstrap(prob, p, tau, policy="exact")
     n_total = round((prob.t_end - prob.t0) / tau)
-    prev = None
     pairs = []
     for _ in range(p, n_total + 1):
-        window, out = composed_step(prob.rhs, window, tau, INNER, prev_alpha1=prev)
-        prev = out.setup.alpha1
+        window, out = composed_step(prob.rhs, window, tau, INNER)
         t_n = window.times[-1].real
         err = float(np.max(np.abs(prob.exact(t_n) - out.y_real)))
         pairs.append((err, float(np.max(np.abs(out.error_estimate_raw)))))

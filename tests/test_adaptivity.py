@@ -108,7 +108,7 @@ def test_adaptive_reaches_final_time():
 
 
 def test_controller_rejects_off_rule_clamp():
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         StepController(p=3, tol=1e-8, ell=1.7)
 
 

@@ -1,6 +1,8 @@
 """The composed two-jump flow and its per-step constants."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cbdf.bdf_core import HistoryWindow, ImplicitSolveConfig, bdf_step, coeff_variable, g_closed_form
 from cbdf.composition import (
@@ -14,7 +16,7 @@ from cbdf.composition import (
     solve_alpha1,
 )
 from cbdf.errors import NoAdmissibleRoot, PoleEvaluation
-from cbdf.polyroot import solve_dense
+from cbdf.polyroot import find_roots, solve_dense
 from conftest import draw_alpha, draw_eps, draw_ratios, stage2_system
 
 PRINTED_ROOTS = {
@@ -98,6 +100,31 @@ def test_solve_alpha1_boundary():
 def test_solve_alpha1_no_admissible_root():
     with pytest.raises(NoAdmissibleRoot):
         solve_alpha1((0.0, 1.0 / 0.30))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(p=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+def test_at_most_one_upper_right_root(p, seed):
+    # what lets solve_alpha1 pick its root from the ratios alone
+    roots = find_roots(alpha1_polynomial(draw_ratios(np.random.default_rng(seed), p)))
+    assert sum(z.real > 0.0 and z.imag > 0.0 for z in roots) <= 1
+
+
+def test_setup_error_constant_matches_public_entry(rng):
+    ladders = [uniform_ratios(p) for p in range(1, 9)]
+    ladders += [draw_ratios(rng, 1 + k % 8) for k in range(40)]
+    checked = 0
+    for r in ladders:
+        try:
+            s = build_setup(r)
+        except NoAdmissibleRoot:
+            continue
+        # a cache hit may hold a setup built from nearby ratios, so compare
+        # against the setup's own ratios
+        assert s.alpha1 == solve_alpha1(s.ratios)
+        assert s.error_constant == error_constant(s.alpha1, s.ratios)
+        checked += 1
+    assert checked >= 30
 
 
 def test_G_trailing_weight_vanishes_at_root():
