@@ -10,7 +10,7 @@ from typing import Optional
 import numpy as np
 
 from .bdf_core import HistoryWindow, ImplicitSolveConfig
-from .composition import composed_step, solve_alpha1
+from .composition import build_setup, composed_step, ratios_from_window, solve_alpha1
 from .errors import NoAdmissibleRoot
 from .problems import ODEProblem, bootstrap
 
@@ -124,12 +124,12 @@ class TrajectoryRecord:
     error_estimates: list
     alpha1s: list
     taus: list
-    exact_errors: Optional[list] = None
 
-    def write_csv(self, path) -> None:
+    def write_csv(self, path, exact) -> None:
+        """One row per accepted step; with an ``exact`` solution, an err_exact column."""
         with open(path, "w", newline="") as fh:
             cols = "n,t_n,tau_n,re_alpha1,im_alpha1,err_estimate"
-            if self.exact_errors is not None:
+            if exact is not None:
                 cols += ",err_exact"
             fh.write(cols + "\n")
             for i in range(len(self.times)):
@@ -138,8 +138,9 @@ class TrajectoryRecord:
                     f"{self.alpha1s[i].real:.16e},{self.alpha1s[i].imag:.16e},"
                     f"{self.error_estimates[i]:.16e}"
                 )
-                if self.exact_errors is not None:
-                    row += f",{self.exact_errors[i]:.16e}"
+                if exact is not None:
+                    err = float(np.max(np.abs(exact(self.times[i]) - self.states[i])))
+                    row += f",{err:.16e}"
                 fh.write(row + "\n")
 
 
@@ -166,20 +167,19 @@ def adaptive_drive(
     t_end = problem.t_end if t_end is None else float(t_end)
     window = bootstrap(problem, p, tau0, policy=bootstrap_policy)
     tau = float(tau0)
-    rec = TrajectoryRecord([], [], [], [], [], [] if problem.exact is not None else None)
+    rec = TrajectoryRecord([], [], [], [], [])
     t = window.times[-1].real
     for _ in range(max_steps):
         if t >= t_end - 1e-14 * max(1.0, abs(t_end)):
             return rec
-        window, out = composed_step(problem.rhs, window, tau, solve_cfg)
+        setup = build_setup(ratios_from_window(window, tau))
+        window, out = composed_step(problem.rhs, window, tau, setup, solve_cfg)
         t = window.times[-1].real
         rec.times.append(t)
         rec.states.append(out.y_real.copy())
         rec.error_estimates.append(out.error_estimate)
-        rec.alpha1s.append(out.setup.alpha1)
+        rec.alpha1s.append(setup.alpha1)
         rec.taus.append(tau)
-        if rec.exact_errors is not None:
-            rec.exact_errors.append(float(np.max(np.abs(problem.exact(t) - out.y_real))))
         e_n = out.error_estimate
         if clamps:
             tau_next = next_step(tau, e_n, ctl)

@@ -42,18 +42,21 @@ def integrate_fixed(problem, scheme: str, p: int, tau: float,
     The composed scheme of base order p carries p history points and has
     order p + 1.
     """
+    if scheme not in ("bdf", "composed"):
+        raise ValueError(f"unknown scheme {scheme!r}")
     window = bootstrap(problem, p, tau, policy="exact")
+    # a uniform grid has one ratio ladder, so one setup serves every step
+    setup = (composition.build_setup(composition.ratios_from_window(window, tau))
+             if scheme == "composed" else None)
     n_total = round((problem.t_end - problem.t0) / tau)
     errors = {}
     for n in range(p, n_total + 1):
-        if scheme == "bdf":
+        if setup is None:
             window, y = bdf_step(problem.rhs, window, tau, cfg)
             y_real = y.real
-        elif scheme == "composed":
-            window, out = composition.composed_step(problem.rhs, window, tau, cfg)
-            y_real = out.y_real
         else:
-            raise ValueError(f"unknown scheme {scheme!r}")
+            window, out = composition.composed_step(problem.rhs, window, tau, setup, cfg)
+            y_real = out.y_real
         t_n = window.times[-1].real
         errors[n] = float(np.max(np.abs(problem.exact(t_n) - y_real)))
     return errors
@@ -182,7 +185,7 @@ def run_adaptive(problem, p: int, tol: float, tau0: float, clamps: bool, out_pat
     ctl = adaptivity.StepController(p=p, tol=tol)
     rec = adaptivity.adaptive_drive(problem, p, tau0, ctl, clamps=clamps)
     if out_path:
-        rec.write_csv(out_path)
+        rec.write_csv(out_path, problem.exact)
 
 
 def _int_list(text: str):

@@ -9,7 +9,6 @@ constant follow from it in closed form.
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -30,9 +29,6 @@ from .errors import (
     PoleEvaluation,
 )
 from .polyroot import ComplexPolynomial, find_roots
-
-_SETUP_CACHE: "OrderedDict[tuple, CompositionSetup]" = OrderedDict()
-_SETUP_CACHE_MAX = 65536
 
 
 @dataclass(frozen=True)
@@ -69,7 +65,6 @@ class ComposedStepOutput:
     error_estimate_raw: np.ndarray
     error_estimate: float
     intermediate: np.ndarray
-    setup: CompositionSetup
 
 
 def ratios_from_window(window: HistoryWindow, tau: float) -> tuple:
@@ -230,27 +225,17 @@ def error_constant(alpha1: complex, ratios: Sequence[complex]) -> float:
     return _error_constant(alpha1, r, eps, G_coefficients(alpha1, r))
 
 
-def _cache_key(ratios: tuple) -> tuple:
-    return tuple((round(v.real, 12), round(v.imag, 12)) for v in ratios)
-
-
 def build_setup(ratios: Sequence[complex]) -> CompositionSetup:
     """Solve the fraction equation and assemble all per-step constants.
 
-    Results are memoized on the ratio tuple rounded to 12 decimals, so
-    fixed-grid runs pay for the root solve once; a hit returns the setup
-    built for the first ratios with that key.
+    A pure function of the ratios it is given. A caller that steps on a
+    uniform grid builds the setup once and passes it to every step.
     """
     r = tuple(complex(v) for v in ratios)
-    key = _cache_key(r)
-    hit = _SETUP_CACHE.get(key)
-    if hit is not None:
-        _SETUP_CACHE.move_to_end(key)
-        return hit
     alpha1 = solve_alpha1(r)
     eps = tuple(1.0 + rv / alpha1 for rv in r)
     G = G_coefficients(alpha1, r)
-    setup = CompositionSetup(
+    return CompositionSetup(
         p=len(r),
         ratios=r,
         alpha1=alpha1,
@@ -259,28 +244,27 @@ def build_setup(ratios: Sequence[complex]) -> CompositionSetup:
         G=G,
         error_constant=_error_constant(alpha1, r, eps, G),
     )
-    while len(_SETUP_CACHE) >= _SETUP_CACHE_MAX:
-        _SETUP_CACHE.popitem(last=False)
-    _SETUP_CACHE[key] = setup
-    return setup
 
 
 def composed_step(
     rhs: RhsFunction,
     window: HistoryWindow,
     tau: float,
+    setup: CompositionSetup,
     cfg: ImplicitSolveConfig = ImplicitSolveConfig(),
 ) -> tuple:
     """One composed step: two base sub-steps with complex fractions.
 
     Returns ``(new_window, output)``. The forwarded window carries the real
     part of the composed result at the real node t_{n-1} + tau; the full
-    complex result, the intermediate state, and the per-step constants ride
-    along in the output record. The sub-step fraction comes from the
-    window's step ratios alone.
+    complex result and the intermediate state ride along in the output
+    record. ``setup`` holds the constants for the window's step ratios,
+    ``build_setup(ratios_from_window(window, tau))``; raises ValueError when
+    its node count differs from the window's.
     """
+    if setup.p != window.p:
+        raise ValueError(f"setup for {setup.p} nodes, window holds {window.p}")
     tau = float(tau)
-    setup = build_setup(ratios_from_window(window, tau))
     t_last = window.times[-1]
     mid_window, y_half = bdf_step(rhs, window, setup.alpha1 * tau, cfg)
     _, y_hat = bdf_step(rhs, mid_window, (t_last + tau) - mid_window.times[-1], cfg)
@@ -293,6 +277,5 @@ def composed_step(
         error_estimate_raw=raw,
         error_estimate=abs(setup.error_constant) * float(np.max(np.abs(raw))),
         intermediate=y_half,
-        setup=setup,
     )
     return out_window, output

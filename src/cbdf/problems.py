@@ -188,7 +188,8 @@ def bootstrap(problem: ODEProblem, p: int, tau: float, policy: str = "exact") ->
         return HistoryWindow(times, tuple(problem.exact(t).astype(complex) for t in times))
     if policy != "cascade":
         raise ValueError(f"unknown bootstrap policy {policy!r}")
-    from .composition import composed_step  # local import breaks the cycle
+    # local import breaks the cycle
+    from .composition import build_setup, composed_step, ratios_from_window
 
     cfg = ImplicitSolveConfig(tol=1e-14, max_iterations=200)
     ts = [problem.t0]
@@ -201,7 +202,8 @@ def bootstrap(problem: ODEProblem, p: int, tau: float, policy: str = "exact") ->
         h = tau / substeps
         for _ in range(substeps):
             win = HistoryWindow(tuple(ts[-base:]), tuple(ys[-base:]))
-            win, out = composed_step(problem.rhs, win, h, cfg)
+            setup = build_setup(ratios_from_window(win, h))
+            win, out = composed_step(problem.rhs, win, h, setup, cfg)
             ts.append(win.times[-1].real)
             ys.append(out.y_real.astype(complex))
     coarse = [problem.t0 + j * tau for j in range(p)]

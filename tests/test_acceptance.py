@@ -13,7 +13,14 @@ import pytest
 from cbdf.adaptivity import StepController, adaptive_drive, min_ratio
 from cbdf.bdf_core import ImplicitSolveConfig, coeff_fixed, coeff_variable, g_closed_form
 from cbdf.cli import global_error, integrate_fixed
-from cbdf.composition import G_coefficients, composed_step, gbar_fixed, solve_alpha1
+from cbdf.composition import (
+    G_coefficients,
+    build_setup,
+    composed_step,
+    gbar_fixed,
+    ratios_from_window,
+    solve_alpha1,
+)
 from cbdf.errors import NoAdmissibleRoot
 from cbdf.polyroot import solve_dense
 from cbdf.problems import bootstrap, builtin
@@ -289,10 +296,11 @@ def test_criterion_08_identity_suites():
 def _fidelity_run(prob, p, tau):
     """Propagating fixed-step run; per-step (exact error, |Im|) pairs."""
     window = bootstrap(prob, p, tau, policy="exact")
+    setup = build_setup(ratios_from_window(window, tau))
     n_total = round((prob.t_end - prob.t0) / tau)
     pairs = []
     for _ in range(p, n_total + 1):
-        window, out = composed_step(prob.rhs, window, tau, INNER)
+        window, out = composed_step(prob.rhs, window, tau, setup, INNER)
         t_n = window.times[-1].real
         err = float(np.max(np.abs(prob.exact(t_n) - out.y_real)))
         pairs.append((err, float(np.max(np.abs(out.error_estimate_raw)))))

@@ -91,10 +91,22 @@ def test_adaptive_drive_smoke(tmp_path):
     assert (ratios <= ctl.ell + 1e-12).all()
     assert all(a.real > 0 for a in rec.alpha1s)
     out = tmp_path / "trace.csv"
-    rec.write_csv(out)
+    rec.write_csv(out, prob.exact)
     lines = out.read_text().splitlines()
     assert lines[0] == "n,t_n,tau_n,re_alpha1,im_alpha1,err_estimate,err_exact"
     assert len(lines) == 1 + len(rec.times)
+
+
+def test_write_csv_exact_column(tmp_path):
+    prob = builtin("cubic_decay")
+    rec = adaptive_drive(prob, 2, 0.05, StepController(p=2, tol=1e-6))
+    with_exact, without = tmp_path / "a.csv", tmp_path / "b.csv"
+    rec.write_csv(with_exact, prob.exact)
+    rec.write_csv(without, None)
+    rows = [line.split(",") for line in with_exact.read_text().splitlines()]
+    assert [",".join(r[:-1]) for r in rows] == without.read_text().splitlines()
+    for (t, y), row in zip(zip(rec.times, rec.states), rows[1:]):
+        assert float(row[-1]) == float(np.max(np.abs(prob.exact(t) - y)))
 
 
 def test_adaptive_reaches_final_time():

@@ -4,7 +4,8 @@ import re
 
 import pytest
 
-from cbdf.cli import main
+from cbdf.cli import integrate_fixed, main
+from cbdf.problems import builtin
 
 
 def run_cli(capsys, *argv):
@@ -119,6 +120,13 @@ def test_problem_from_json(tmp_path):
 def test_bad_problem_exits_2():
     assert main(["converge", "--problem", "nope", "--scheme", "bdf",
                  "--p", "2", "--taus", "0.1", "--out", "/tmp/x.csv"]) == 2
+
+
+def test_integrate_fixed_rejects_unknown_scheme():
+    # 2 steps on [0, 1] at base order 3: the loop body never runs, so the
+    # scheme must be checked before it
+    with pytest.raises(ValueError, match="rk4"):
+        integrate_fixed(builtin("cubic_decay"), "rk4", 3, 0.5)
 
 
 def test_bad_subcommand_exits_2(capsys):

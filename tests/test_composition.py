@@ -119,12 +119,20 @@ def test_setup_error_constant_matches_public_entry(rng):
             s = build_setup(r)
         except NoAdmissibleRoot:
             continue
-        # a cache hit may hold a setup built from nearby ratios, so compare
-        # against the setup's own ratios
-        assert s.alpha1 == solve_alpha1(s.ratios)
-        assert s.error_constant == error_constant(s.alpha1, s.ratios)
+        assert s.alpha1 == solve_alpha1(r)
+        assert s.error_constant == error_constant(s.alpha1, r)
         checked += 1
     assert checked >= 30
+
+
+def test_build_setup_keeps_the_ratios_it_was_given():
+    # two ladders one ulp apart, as a fixed grid's accumulated times produce;
+    # each setup is built from its own ratios, whatever was built before
+    nearby = (0.0, 1.0000000000000002, 2.0000000000000004, 3.0000000000000004)
+    for r in (uniform_ratios(4), nearby, uniform_ratios(4)):
+        s = build_setup(r)
+        assert s.ratios == r
+        assert s.alpha1 == solve_alpha1(r)
 
 
 def test_G_trailing_weight_vanishes_at_root():
@@ -193,7 +201,8 @@ def test_error_constant_empirical_band():
     exact = lambda t: 1.0 / np.sqrt(1.0 + 2.0 * t)
     tau = 0.0125
     window = window_cubic(p, tau)
-    _, out = composed_step(lambda t, y: -(y**3), window, tau, ImplicitSolveConfig(tol=1e-15))
+    setup = build_setup(ratios_from_window(window, tau))
+    _, out = composed_step(lambda t, y: -(y**3), window, tau, setup, ImplicitSolveConfig(tol=1e-15))
     t_n = p * tau
     ratio = (exact(t_n) - out.y_real[0]) / out.error_estimate_raw[0]
     assert abs(c2) / 10 <= abs(ratio) <= abs(c2) * 10
@@ -201,17 +210,25 @@ def test_error_constant_empirical_band():
 
 def test_composed_step_p1_closed_form():
     window = HistoryWindow((0.0,), (np.array([1.0 + 0j]),))
-    _, out = composed_step(lambda t, y: -y, window, 0.1, ImplicitSolveConfig(tol=1e-15))
+    setup = build_setup(ratios_from_window(window, 0.1))
+    _, out = composed_step(lambda t, y: -y, window, 0.1, setup, ImplicitSolveConfig(tol=1e-15))
     assert abs(out.y_hat[0] - 1.0 / 1.105) < 1e-12
     assert abs(out.y_hat[0].imag) < 1e-12
 
 
 def test_composed_step_forwards_real_window():
     window = window_cubic(2, 0.1)
-    new, out = composed_step(lambda t, y: -(y**3), window, 0.1)
+    setup = build_setup(ratios_from_window(window, 0.1))
+    new, out = composed_step(lambda t, y: -(y**3), window, 0.1, setup)
     assert new.times[-1] == pytest.approx(0.2)
     assert np.allclose(new.states[-1].imag, 0.0)
     assert np.allclose(out.y_real + 1j * out.error_estimate_raw, out.y_hat)
+
+
+def test_composed_step_rejects_setup_of_other_order():
+    window = window_cubic(2, 0.1)
+    with pytest.raises(ValueError, match="nodes"):
+        composed_step(lambda t, y: -(y**3), window, 0.1, build_setup(uniform_ratios(3)))
 
 
 def test_composed_step_local_order():
@@ -222,7 +239,8 @@ def test_composed_step_local_order():
     taus = (0.1, 0.05, 0.025, 0.0125)
     for tau in taus:
         window = window_cubic(2, tau)
-        _, out = composed_step(lambda t, y: -(y**3), window, tau, ImplicitSolveConfig(tol=1e-15))
+        setup = build_setup(ratios_from_window(window, tau))
+        _, out = composed_step(lambda t, y: -(y**3), window, tau, setup, ImplicitSolveConfig(tol=1e-15))
         errs.append(abs(exact(2 * tau) - out.y_real[0]))
     slope = np.log(errs[-2] / errs[-1]) / np.log(2.0)
     assert abs(slope - 4.0) < 0.35
