@@ -5,16 +5,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .bdf_core import HistoryWindow, ImplicitSolveConfig
+from .bdf_core import ImplicitSolveConfig
 from .composition import build_setup, composed_step, ratios_from_window, solve_alpha1
-from .errors import NoAdmissibleRoot
+from .errors import NoAdmissibleRoot, NoConvergence
 from .problems import ODEProblem, bootstrap
 
 _BISECT_TOL = 1e-4
+_SOLVE_CFG = ImplicitSolveConfig(tol=1e-13, max_iterations=200)
+_MAX_STEPS = 500000
 
 
 def ratio_clamp(p: int) -> float:
@@ -149,31 +150,28 @@ def adaptive_drive(
     p: int,
     tau0: float,
     ctl: StepController,
-    t_end: Optional[float] = None,
     clamps: bool = True,
-    bootstrap_policy: str = "exact",
-    solve_cfg: ImplicitSolveConfig = ImplicitSolveConfig(tol=1e-13, max_iterations=200),
-    max_steps: int = 500000,
 ) -> TrajectoryRecord:
-    """March the composed flow with error-controlled steps until t_end.
+    """March the composed flow with error-controlled steps until problem.t_end.
 
     With ``clamps`` the consecutive-step ratio stays inside [1/ell, ell]
     and the run lands exactly on t_end whenever the shortened final step
     stays within the clamp (otherwise it overshoots slightly). Without
     clamps the controller is the raw rescale rule (growth capped at x10
     when the estimate is zero), which can demand an inadmissible ratio and
-    raise NoAdmissibleRoot.
+    raise NoAdmissibleRoot. The history starts from the exact solution;
+    a run that needs more than 500,000 steps raises NoConvergence.
     """
-    t_end = problem.t_end if t_end is None else float(t_end)
-    window = bootstrap(problem, p, tau0, policy=bootstrap_policy)
+    t_end = problem.t_end
+    window = bootstrap(problem, p, tau0, policy="exact")
     tau = float(tau0)
     rec = TrajectoryRecord([], [], [], [], [])
     t = window.times[-1].real
-    for _ in range(max_steps):
+    for _ in range(_MAX_STEPS):
         if t >= t_end - 1e-14 * max(1.0, abs(t_end)):
             return rec
         setup = build_setup(ratios_from_window(window, tau))
-        window, out = composed_step(problem.rhs, window, tau, setup, solve_cfg)
+        window, out = composed_step(problem.rhs, window, tau, setup, _SOLVE_CFG)
         t = window.times[-1].real
         rec.times.append(t)
         rec.states.append(out.y_real.copy())
@@ -195,4 +193,4 @@ def adaptive_drive(
                 tau_next = tau * (ctl.tol / e_n) ** (1.0 / (ctl.p + 2))
             tau_next = max(tau_next, ctl.tau_min)
         tau = tau_next
-    raise RuntimeError(f"exceeded {max_steps} steps before reaching t_end")
+    raise NoConvergence(f"exceeded {_MAX_STEPS} steps before reaching t_end = {t_end}")

@@ -1,9 +1,12 @@
 """Backward-difference coefficient generation and the implicit one-step flow.
 
-Coefficients come in two flavours: fixed uniform grids (exact rational
-weights) and fully variable, possibly complex node sets (divided-difference
-products). The implicit step solves the resulting nonlinear equation by
-fixed-point iteration with a damped-Newton fallback.
+The implicit step takes its weights from its caller: ``coeff_fixed`` gives
+the exact rational weights of a uniform grid, and a composed step passes
+the two weight sets of its ``CompositionSetup``. It solves the resulting
+nonlinear equation by fixed-point iteration with a damped-Newton fallback.
+``coeff_variable`` builds the weights of any distinct, possibly complex,
+node set from divided-difference products; it is the reference the closed
+forms are checked against.
 """
 from __future__ import annotations
 
@@ -266,20 +269,24 @@ def bdf_step(
     rhs: RhsFunction,
     window: HistoryWindow,
     tau: complex,
+    weights: Sequence[complex],
     cfg: ImplicitSolveConfig = ImplicitSolveConfig(),
 ) -> tuple:
     """Advance the window by one implicit step of size ``tau``.
 
+    ``weights`` are ``(g_0, g_1..g_p)`` for the window's nodes and the target
+    ``window.times[-1] + tau``, laid out as ``CoefficientSet.weights``.
     Returns ``(new_window, y_new)`` where ``new_window`` is the input shifted
     by one node. The fixed-point sweep starts from the newest state and falls
     back to damped Newton on stagnation or divergence.
     """
+    if len(weights) != window.p + 1:
+        raise ValueError(f"need {window.p + 1} weights for {window.p} nodes, got {len(weights)}")
     tau = complex(tau)
     t_new = window.times[-1] + tau
     if not t_new.real > window.times[-1].real:
         raise ValueError("step must advance the real part of time")
-    coeffs = coeff_variable(window.times, t_new)
-    g0, g = coeffs.weights[0], coeffs.weights[1:]
+    g0, g = weights[0], weights[1:]
     hist = sum(gi * s for gi, s in zip(g, reversed(window.states)))
 
     y = np.array(window.states[-1], dtype=complex)

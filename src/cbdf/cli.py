@@ -17,7 +17,7 @@ import time
 import numpy as np
 
 from . import adaptivity, composition, problems, stability
-from .bdf_core import ImplicitSolveConfig, bdf_step
+from .bdf_core import ImplicitSolveConfig, bdf_step, coeff_fixed
 from .errors import CbdfError, NoAdmissibleRoot, UnknownProblem
 from .problems import bootstrap
 
@@ -45,14 +45,16 @@ def integrate_fixed(problem, scheme: str, p: int, tau: float,
     if scheme not in ("bdf", "composed"):
         raise ValueError(f"unknown scheme {scheme!r}")
     window = bootstrap(problem, p, tau, policy="exact")
-    # a uniform grid has one ratio ladder, so one setup serves every step
-    setup = (composition.build_setup(composition.ratios_from_window(window, tau))
-             if scheme == "composed" else None)
+    # a uniform grid has one ratio ladder, so one setup or weight set serves every step
+    if scheme == "bdf":
+        weights = coeff_fixed(p).weights
+    else:
+        setup = composition.build_setup(composition.ratios_from_window(window, tau))
     n_total = round((problem.t_end - problem.t0) / tau)
     errors = {}
     for n in range(p, n_total + 1):
-        if setup is None:
-            window, y = bdf_step(problem.rhs, window, tau, cfg)
+        if scheme == "bdf":
+            window, y = bdf_step(problem.rhs, window, tau, weights, cfg)
             y_real = y.real
         else:
             window, out = composition.composed_step(problem.rhs, window, tau, setup, cfg)

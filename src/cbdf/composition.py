@@ -40,7 +40,8 @@ class CompositionSetup:
     alpha1: complex
     alpha2: complex
     eps: tuple
-    G: tuple
+    g: tuple  # first-stage weights g_0..g_p, for the offsets eps
+    G: tuple  # second-stage weights G_0..G_{p+1}; G_0..G_p drive the second sub-step
     error_constant: float
 
     def __post_init__(self):
@@ -48,8 +49,7 @@ class CompositionSetup:
             raise ValueError("alpha1 + alpha2 must equal 1 as the stored pair")
         if not self.alpha1.real > 0:
             raise ValueError("alpha1 must have positive real part")
-        g0 = sum(1.0 / e for e in self.eps)
-        cond = self.eps[-1] * self.alpha1**2 + g0 * self.alpha2**2
+        cond = self.eps[-1] * self.alpha1**2 + self.g[0] * self.alpha2**2
         if abs(cond) > 1e-9:
             raise ValueError(f"root condition violated: |residual| = {abs(cond):.3e}")
         if abs(sum(self.G)) > 1e-10 or abs(self.G[-1]) > 1e-9:
@@ -73,36 +73,22 @@ def ratios_from_window(window: HistoryWindow, tau: float) -> tuple:
     return tuple((t_last - window.times[window.p - j]) / tau for j in range(1, window.p + 1))
 
 
-def _poly_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    n = max(len(a), len(b))
-    return np.pad(a, (0, n - len(a))) + np.pad(b, (0, n - len(b)))
-
-
 def alpha1_polynomial(ratios: Sequence[complex]) -> ComplexPolynomial:
     """Cleared-denominator form of the sub-step fraction equation.
 
     Multiplying (1-a)^2 * sum_j a/(a+r_j) + a^2 (1 + r_p/a) = 0 by
     prod_j (a+r_j) and deflating the spurious root a = 0 (introduced by
-    r_1 = 0) leaves a polynomial of degree p+1 with leading coefficient p+1.
+    r_1 = 0) leaves (1-a)^2 (aP)' + (a^2 + r_p a) P with P = prod_{j>=2} (a+r_j),
+    a polynomial of degree p+1 with leading coefficient p+1.
     """
     r = [complex(v) for v in ratios]
-    p = len(r)
-
-    def prod_lin(idxs):
-        poly = np.array([1.0 + 0j])
-        for m in idxs:
-            poly = np.convolve(poly, np.array([r[m], 1.0 + 0j]))
-        return poly
-
-    rest = list(range(1, p))
-    bracket = prod_lin(rest)
-    partials = np.zeros(1, dtype=complex)
-    for j in rest:
-        partials = _poly_add(partials, prod_lin([m for m in rest if m != j]))
-    bracket = _poly_add(bracket, np.concatenate(([0j], partials)))
-    first = np.convolve(np.array([1.0, -2.0, 1.0], dtype=complex), bracket)
-    second = np.convolve(np.array([0.0, r[p - 1], 1.0], dtype=complex), prod_lin(rest))
-    return ComplexPolynomial(tuple(_poly_add(first, second)))
+    P = np.array([1.0 + 0j])  # ascending; the elementary symmetric polynomials of r_2..r_p
+    for rj in r[1:]:
+        P = np.convolve(P, np.array([rj, 1.0 + 0j]))
+    # sum_j a/(a+r_j) times prod_j (a+r_j) = aP is a (aP)', whose a^k coefficient is (k+1) P_k
+    poly = np.convolve(np.array([1.0, -2.0, 1.0], dtype=complex), P * np.arange(1, len(P) + 1))
+    poly[1:] += np.convolve(np.array([r[-1], 1.0 + 0j]), P)
+    return ComplexPolynomial(tuple(poly))
 
 
 def G_coefficients(alpha1: complex, ratios: Sequence[complex]) -> tuple:
@@ -146,24 +132,30 @@ def G_coefficients(alpha1: complex, ratios: Sequence[complex]) -> tuple:
     return (complex(-np.sum(x)),) + tuple(complex(v) for v in x)
 
 
-def solve_alpha1(ratios: Sequence[complex]) -> complex:
-    """The admissible sub-step fraction for these ratios.
-
-    Among roots with positive real part, prefers positive imaginary part,
-    then the largest real part. For real ratio ladders at most one root
-    lies in the open upper-right quadrant, so the choice depends on the
-    ratios alone. Raises NoAdmissibleRoot when every root has Re <= 0.
-    """
+def _admissible_root(ratios: Sequence[complex]) -> tuple:
+    """``(alpha1, G_coefficients(alpha1, ratios))`` for the root solve_alpha1 picks."""
     roots = find_roots(alpha1_polynomial(ratios))
     admissible = [z for z in roots if z.real > 0.0]
     if not admissible:
         raise NoAdmissibleRoot(f"no positive-real-part root for ratios {tuple(ratios)}")
     upper = [z for z in admissible if z.imag > 0.0]
     root = max(upper or admissible, key=lambda z: z.real)
-    residual = abs(G_coefficients(root, ratios)[-1])
-    if residual > 1e-9:
-        raise NoConvergence(f"refined root leaves |G_(p+1)| = {residual:.3e}")
-    return root
+    G = G_coefficients(root, ratios)
+    if abs(G[-1]) > 1e-9:
+        raise NoConvergence(f"refined root leaves |G_(p+1)| = {abs(G[-1]):.3e}")
+    return root, G
+
+
+def solve_alpha1(ratios: Sequence[complex]) -> complex:
+    """The admissible sub-step fraction for these ratios.
+
+    Among roots with positive real part, prefers positive imaginary part,
+    then the largest real part. For real ratio ladders at most one root
+    lies in the open upper-right quadrant, so the choice depends on the
+    ratios alone. Raises NoAdmissibleRoot when every root has Re <= 0, and
+    NoConvergence when the root leaves the trailing weight G_(p+1) above 1e-9.
+    """
+    return _admissible_root(ratios)[0]
 
 
 _GBAR_FORMS = {
@@ -198,10 +190,9 @@ def gbar_fixed(p: int, alpha: complex) -> complex:
     return n / d
 
 
-def _error_constant(alpha1: complex, r: tuple, eps: tuple, G: tuple) -> float:
-    """Error constant from the offsets eps_j = 1 + r_j/alpha1 and the weights G."""
+def _error_constant(alpha1: complex, r: tuple, g: tuple, G: tuple) -> float:
+    """Error constant from the first- and second-stage weights g and G."""
     p = len(r)
-    g = g_closed_form(eps)
     g0 = g[0]
     ebar = (1.0 - alpha1,) + tuple(1.0 + rv for rv in r)
     acc = sum((G[i + 1] - G[1] / g0 * g[i]) * ebar[i] ** (p + 2) for i in range(p + 1))
@@ -221,8 +212,8 @@ def error_constant(alpha1: complex, ratios: Sequence[complex]) -> float:
     """
     alpha1 = complex(alpha1)
     r = tuple(complex(v) for v in ratios)
-    eps = tuple(1.0 + rv / alpha1 for rv in r)
-    return _error_constant(alpha1, r, eps, G_coefficients(alpha1, r))
+    g = g_closed_form(tuple(1.0 + rv / alpha1 for rv in r))
+    return _error_constant(alpha1, r, g, G_coefficients(alpha1, r))
 
 
 def build_setup(ratios: Sequence[complex]) -> CompositionSetup:
@@ -232,17 +223,18 @@ def build_setup(ratios: Sequence[complex]) -> CompositionSetup:
     uniform grid builds the setup once and passes it to every step.
     """
     r = tuple(complex(v) for v in ratios)
-    alpha1 = solve_alpha1(r)
+    alpha1, G = _admissible_root(r)
     eps = tuple(1.0 + rv / alpha1 for rv in r)
-    G = G_coefficients(alpha1, r)
+    g = g_closed_form(eps)
     return CompositionSetup(
         p=len(r),
         ratios=r,
         alpha1=alpha1,
         alpha2=1.0 - alpha1,
         eps=eps,
+        g=g,
         G=G,
-        error_constant=_error_constant(alpha1, r, eps, G),
+        error_constant=_error_constant(alpha1, r, g, G),
     )
 
 
@@ -259,15 +251,16 @@ def composed_step(
     part of the composed result at the real node t_{n-1} + tau; the full
     complex result and the intermediate state ride along in the output
     record. ``setup`` holds the constants for the window's step ratios,
-    ``build_setup(ratios_from_window(window, tau))``; raises ValueError when
-    its node count differs from the window's.
+    ``build_setup(ratios_from_window(window, tau))``, including both sub-steps'
+    weights; raises ValueError when its node count differs from the window's.
     """
     if setup.p != window.p:
         raise ValueError(f"setup for {setup.p} nodes, window holds {window.p}")
     tau = float(tau)
     t_last = window.times[-1]
-    mid_window, y_half = bdf_step(rhs, window, setup.alpha1 * tau, cfg)
-    _, y_hat = bdf_step(rhs, mid_window, (t_last + tau) - mid_window.times[-1], cfg)
+    mid_window, y_half = bdf_step(rhs, window, setup.alpha1 * tau, setup.g, cfg)
+    _, y_hat = bdf_step(rhs, mid_window, (t_last + tau) - mid_window.times[-1],
+                        setup.G[: setup.p + 1], cfg)
     y_real = y_hat.real.copy()
     raw = y_hat.imag.copy()
     out_window = window.advanced(t_last + tau, y_real.astype(complex))

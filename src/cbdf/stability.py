@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .bdf_core import coeff_fixed, g_closed_form
+from .bdf_core import coeff_fixed
 from .composition import build_setup
 from .errors import EmptySector, OrderOutOfRange
 
@@ -47,9 +47,7 @@ def _uniform_stage_weights(p: int):
     """First- and second-stage weights on the uniform grid for base order p."""
     ratios = tuple(float(j - 1) for j in range(1, p + 1))
     setup = build_setup(ratios)
-    g = g_closed_form(setup.eps)
-    Gk = setup.G[: p + 1]
-    return setup.alpha1, g, Gk
+    return setup.alpha1, setup.g, setup.G[: p + 1]
 
 
 def theta_coefficients(p: int, z: complex) -> tuple:

@@ -1,4 +1,5 @@
-"""Shared oracle builders: dense moment systems and randomized draws.
+"""Shared oracle builders: dense moment systems, divided-difference step
+weights and randomized draws.
 
 The dense systems here are the independent reference route for the
 closed-form coefficient formulas, so they are assembled from scratch
@@ -8,6 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+
+from cbdf.bdf_core import coeff_variable
 
 
 def stage1_system(eps):
@@ -40,6 +43,11 @@ def stage2_system(alpha1, ratios):
     rhs = np.zeros(n, dtype=complex)
     rhs[1] = -ebar[0]
     return a, rhs
+
+
+def variable_weights(window, tau):
+    """Weights of one step of ``tau`` from ``window``, by divided differences."""
+    return coeff_variable(window.times, window.times[-1] + tau).weights
 
 
 def draw_ratios(rng, p):

@@ -11,6 +11,7 @@ from cbdf.adaptivity import (
     next_step,
     ratio_clamp,
 )
+from cbdf.errors import NoConvergence
 from cbdf.problems import builtin
 
 TABLE_FIRST = {2: 0.4506, 3: 0.6311, 4: 0.7158, 5: 0.7717, 6: 0.8125, 7: 0.8454, 8: 0.8734}
@@ -107,6 +108,18 @@ def test_write_csv_exact_column(tmp_path):
     assert [",".join(r[:-1]) for r in rows] == without.read_text().splitlines()
     for (t, y), row in zip(zip(rec.times, rec.states), rows[1:]):
         assert float(row[-1]) == float(np.max(np.abs(prob.exact(t) - y)))
+
+
+def test_step_budget_exhaustion_is_a_solver_failure(monkeypatch, tmp_path):
+    import cbdf.adaptivity
+    from cbdf.cli import main
+
+    monkeypatch.setattr(cbdf.adaptivity, "_MAX_STEPS", 3)
+    with pytest.raises(NoConvergence, match="3 steps"):
+        adaptive_drive(builtin("cubic_decay"), 2, 0.05, StepController(p=2, tol=1e-6))
+    argv = ["adaptive", "--problem", "cubic_decay", "--p", "2", "--tol", "1e-6",
+            "--tau0", "0.05", "--out", str(tmp_path / "trace.csv")]
+    assert main(argv) == 3
 
 
 def test_adaptive_reaches_final_time():

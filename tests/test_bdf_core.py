@@ -15,7 +15,7 @@ from cbdf.bdf_core import (
 )
 from cbdf.errors import DuplicateEps, DuplicateNode, OrderOutOfRange
 from cbdf.polyroot import solve_dense
-from conftest import draw_eps, stage1_system
+from conftest import draw_eps, stage1_system, variable_weights
 
 TABLE_FIXED = {
     1: (1.0, -1.0),
@@ -116,13 +116,15 @@ def test_uniform_grid_equivalence(p):
 
 def test_bdf_step_implicit_euler_linear():
     window = HistoryWindow((0.0,), (np.array([1.0 + 0j]),))
-    _, y = bdf_step(lambda t, y: -y, window, 0.1, ImplicitSolveConfig(tol=1e-14))
+    _, y = bdf_step(lambda t, y: -y, window, 0.1, variable_weights(window, 0.1),
+                    ImplicitSolveConfig(tol=1e-14))
     assert abs(y[0] - 1.0 / 1.1) < 1e-13
 
 
 def test_bdf_step_two_point_linear():
     window = HistoryWindow((0.0, 0.1), (np.array([1.0 + 0j]), np.array([0.905 + 0j])))
-    _, y = bdf_step(lambda t, y: -y, window, 0.1, ImplicitSolveConfig(tol=1e-14))
+    _, y = bdf_step(lambda t, y: -y, window, 0.1, variable_weights(window, 0.1),
+                    ImplicitSolveConfig(tol=1e-14))
     expect = (2 * 0.905 - 0.5 * 1.0) / (1.5 + 0.1)
     assert abs(y[0] - expect) < 1e-13
 
@@ -138,13 +140,21 @@ def test_bdf_step_cubic_vs_bisection():
             hi = mid
     root = 0.5 * (lo + hi)
     window = HistoryWindow((0.0,), (np.array([1.0 + 0j]),))
-    _, y = bdf_step(lambda t, y: -(y**3), window, 0.1, ImplicitSolveConfig(tol=1e-14))
+    _, y = bdf_step(lambda t, y: -(y**3), window, 0.1, variable_weights(window, 0.1),
+                    ImplicitSolveConfig(tol=1e-14))
     assert abs(y[0] - root) < 1e-12
+
+
+def test_bdf_step_rejects_weights_of_other_order():
+    window = HistoryWindow((0.0, 0.1), (np.array([1.0 + 0j]), np.array([0.905 + 0j])))
+    with pytest.raises(ValueError, match="weights"):
+        bdf_step(lambda t, y: -y, window, 0.1, coeff_fixed(3).weights)
 
 
 def test_bdf_step_window_shift():
     window = HistoryWindow((0.0, 1.0), (np.array([1.0 + 0j]), np.array([2.0 + 0j])))
-    new, y = bdf_step(lambda t, y: 0 * y, window, 1.0, ImplicitSolveConfig(tol=1e-14))
+    new, y = bdf_step(lambda t, y: 0 * y, window, 1.0, variable_weights(window, 1.0),
+                      ImplicitSolveConfig(tol=1e-14))
     assert new.times == (1.0, 2.0)
     assert np.allclose(new.states[-1], y)
 
@@ -156,7 +166,7 @@ def test_bdf_step_residual_contract(rng):
         states = tuple(np.array([np.exp(-t) + 0j]) for t in times)
         window = HistoryWindow(times, states)
         tau = 0.1
-        new, y = bdf_step(lambda t, y: -y, window, tau, cfg)
+        new, y = bdf_step(lambda t, y: -y, window, tau, variable_weights(window, tau), cfg)
         c = coeff_variable(times, times[-1] + tau)
         res = c.weights[0] * y + sum(
             c.weights[i] * states[p - i] for i in range(1, p + 1)
@@ -168,7 +178,7 @@ def test_fixed_point_contraction_converges():
     # |lambda tau / g0| < 1: plain fixed-point must succeed within budget
     window = HistoryWindow((0.0, 0.5), (np.array([1.0 + 0j]), np.array([0.6 + 0j])))
     cfg = ImplicitSolveConfig(tol=1e-13, max_iterations=80)
-    _, y = bdf_step(lambda t, y: -1.2 * y, window, 0.5, cfg)
+    _, y = bdf_step(lambda t, y: -1.2 * y, window, 0.5, variable_weights(window, 0.5), cfg)
     assert np.isfinite(y).all()
 
 
@@ -190,7 +200,7 @@ def test_convergence_order_light():
 def test_newton_only_mode():
     window = HistoryWindow((0.0,), (np.array([1.0 + 0j]),))
     cfg = ImplicitSolveConfig(tol=1e-13, max_iterations=60, mode="newton-only")
-    _, y = bdf_step(lambda t, y: -(y**3), window, 0.1, cfg)
+    _, y = bdf_step(lambda t, y: -(y**3), window, 0.1, variable_weights(window, 0.1), cfg)
     assert abs(y[0] ** 3 * 0.1 + y[0] - 1.0) < 1e-11
 
 
@@ -202,7 +212,7 @@ def test_singular_jacobian():
     g0 = coeff_fixed(2).weights[0]
     cfg = ImplicitSolveConfig(tol=1e-13, max_iterations=40)
     with pytest.raises(SingularJacobian):
-        bdf_step(lambda t, y: (g0 / 1.0) * y, window, 1.0, cfg)
+        bdf_step(lambda t, y: (g0 / 1.0) * y, window, 1.0, variable_weights(window, 1.0), cfg)
 
 
 def test_no_convergence_budget():
@@ -211,7 +221,7 @@ def test_no_convergence_budget():
     window = HistoryWindow((0.0,), (np.array([1.0 + 0j]),))
     cfg = ImplicitSolveConfig(tol=1e-13, max_iterations=1, mode="newton-only")
     with pytest.raises(NoConvergence):
-        bdf_step(lambda t, y: -(y**3) * 40.0, window, 0.9, cfg)
+        bdf_step(lambda t, y: -(y**3) * 40.0, window, 0.9, variable_weights(window, 0.9), cfg)
 
 
 def test_fixed_point_stays_in_contraction_regime():
@@ -225,8 +235,29 @@ def test_fixed_point_stays_in_contraction_regime():
 
     window = HistoryWindow((0.0, 0.5), (np.array([1.0 + 0j]), np.array([0.6 + 0j])))
     cfg = ImplicitSolveConfig(tol=1e-13, max_iterations=100)
-    _, y = bdf_step(rhs, window, 0.5, cfg)
+    _, y = bdf_step(rhs, window, 0.5, variable_weights(window, 0.5), cfg)
     c = coeff_variable((0.0, 0.5), 1.0)
     expect = -(c.weights[1] * 0.6 + c.weights[2] * 1.0) / (c.weights[0] + 1.2 * 0.5)
     assert abs(y[0] - expect) < 1e-12
     assert calls["n"] < 50  # newton would need extra evaluations per sweep
+
+
+def test_production_paths_take_weights_from_their_caller(monkeypatch):
+    # coeff_variable is the reference for the closed forms, not a step path
+    import cbdf.bdf_core
+    from cbdf import adaptivity, stability
+    from cbdf.cli import integrate_fixed
+    from cbdf.problems import builtin
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("coeff_variable called on a production path")
+
+    monkeypatch.setattr(cbdf.bdf_core, "coeff_variable", refuse)
+    stability._uniform_stage_weights.cache_clear()  # rebuild its setup under the patch
+    prob = builtin("cubic_decay")
+    for scheme in ("bdf", "composed"):
+        assert integrate_fixed(prob, scheme, 2, 0.1)
+    rec = adaptivity.adaptive_drive(prob, 2, 0.05, adaptivity.StepController(p=2, tol=1e-6))
+    assert rec.times[-1] >= prob.t_end - 1e-12
+    assert stability.region_raster(3, (-2.0, 2.0, -2.0, 2.0), 4, 4).mask.any()
+    assert 0.0 < adaptivity.min_ratio(3) < 1.0

@@ -17,7 +17,7 @@ from cbdf.composition import (
 )
 from cbdf.errors import NoAdmissibleRoot, PoleEvaluation
 from cbdf.polyroot import find_roots, solve_dense
-from conftest import draw_alpha, draw_eps, draw_ratios, stage2_system
+from conftest import draw_alpha, draw_eps, draw_ratios, stage2_system, variable_weights
 
 PRINTED_ROOTS = {
     1: 0.5 + 0.5j,
@@ -255,11 +255,39 @@ def test_conjugate_branch_conjugates_output():
     a1 = solve_alpha1(uniform_ratios(p))
     out = {}
     for branch, a in (("plus", a1), ("minus", a1.conjugate())):
-        mid, _ = bdf_step(rhs, window, a * tau, cfg)
-        _, y_hat = bdf_step(rhs, mid, (window.times[-1] + tau) - mid.times[-1], cfg)
+        mid, _ = bdf_step(rhs, window, a * tau, variable_weights(window, a * tau), cfg)
+        tau2 = (window.times[-1] + tau) - mid.times[-1]
+        _, y_hat = bdf_step(rhs, mid, tau2, variable_weights(mid, tau2), cfg)
         out[branch] = y_hat[0]
     assert abs(out["plus"] - out["minus"].conjugate()) < 1e-12
     assert abs(out["plus"].real - out["minus"].real) < 1e-12
+
+
+@pytest.mark.parametrize("p", range(1, 9))
+def test_composed_step_matches_reference_substeps(rng, p):
+    # the setup's weight sets drive the same two sub-steps as weights built
+    # by divided differences on each sub-step's own nodes
+    exact = lambda t: 1.0 / np.sqrt(1.0 + 2.0 * t)
+    rhs = lambda t, y: -(y**3)
+    cfg = ImplicitSolveConfig(tol=1e-15)
+    tau = 0.05
+    checked = 0
+    for _ in range(20):
+        times = tuple(1.0 - rv * tau for rv in reversed(draw_ratios(rng, p)))
+        window = HistoryWindow(times, tuple(np.array([exact(t) + 0j]) for t in times))
+        try:
+            setup = build_setup(ratios_from_window(window, tau))
+        except NoAdmissibleRoot:
+            continue
+        _, out = composed_step(rhs, window, tau, setup, cfg)
+        tau1 = setup.alpha1 * tau
+        mid, y_half = bdf_step(rhs, window, tau1, variable_weights(window, tau1), cfg)
+        tau2 = (window.times[-1] + tau) - mid.times[-1]
+        _, y_hat = bdf_step(rhs, mid, tau2, variable_weights(mid, tau2), cfg)
+        assert np.max(np.abs(out.intermediate - y_half)) <= 1e-12 * np.max(np.abs(y_half))
+        assert np.max(np.abs(out.y_hat - y_hat)) <= 1e-12 * np.max(np.abs(y_hat))
+        checked += 1
+    assert checked >= 5
 
 
 def test_offset_power_product_identity(rng):
@@ -303,26 +331,24 @@ def test_moment_transport_identities(rng):
 
 
 def test_stage_equivalence(rng):
-    # variable-step weights on the shifted window equal the closed-form
-    # second-stage weights when the sub-step fraction solves its equation
-    for p in range(1, 7):
+    # the setup's first-stage weights equal the variable-step weights of the
+    # first sub-step, and its second-stage weights those of the shifted
+    # window, when the sub-step fraction solves its equation
+    for p in range(1, 9):
         for _ in range(20):
             r = draw_ratios(rng, p)
             try:
-                a1 = solve_alpha1(r)
+                s = build_setup(r)
             except NoAdmissibleRoot:
                 continue
-            tau = 1.0
-            t_last = 0.0
-            times = tuple(t_last - rv * tau for rv in reversed(r))
-            window2_times = times[1:] + (t_last + a1 * tau,)
-            c = coeff_variable(window2_times, t_last + tau)
-            G = G_coefficients(a1, r)
-            # c.weights[1] pairs with the intermediate node, then history
-            got = (c.weights[0],) + tuple(c.weights[1:])
-            ref = G[: p + 1]
-            scale = max(1.0, max(abs(v) for v in ref))
-            assert max(abs(a - b) for a, b in zip(got, ref)) <= 1e-9 * scale
+            times = tuple(-rv for rv in reversed(r))  # t_last = 0, tau = 1
+            first = coeff_variable(times, s.alpha1).weights
+            # the second window's newest node is the intermediate one
+            second = coeff_variable(times[1:] + (s.alpha1,), 1.0).weights
+            for got, ref in ((s.g, first), (s.G[: p + 1], second)):
+                assert len(got) == len(ref) == p + 1
+                scale = max(1.0, max(abs(v) for v in ref))
+                assert max(abs(a - b) for a, b in zip(got, ref)) <= 1e-9 * scale
 
 
 def test_root_condition_equivalence(rng):
