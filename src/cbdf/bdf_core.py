@@ -3,7 +3,10 @@
 The implicit step takes its weights from its caller: ``coeff_fixed`` gives
 the exact rational weights of a uniform grid, and a composed step passes
 the two weight sets of its ``CompositionSetup``. It solves the resulting
-nonlinear equation by fixed-point iteration with a damped-Newton fallback.
+nonlinear equation by a fixed-point sweep while each sweep gains at least a
+digit. A slower or diverging sweep hands over to a simplified Newton that
+builds one finite-difference Jacobian and one factorization per solve,
+refreshing them once if an increment fails to shrink.
 ``coeff_variable`` builds the weights of any distinct, possibly complex,
 node set from divided-difference products; it is the reference the closed
 forms are checked against.
@@ -109,19 +112,20 @@ class CoefficientSet:
 
 @dataclass(frozen=True)
 class ImplicitSolveConfig:
-    """Stopping rule and strategy for the implicit solve."""
+    """Stopping rule and iteration budget for the implicit solve.
+
+    The fixed-point sweep gets ``max_iterations - max_iterations // 2`` of
+    the budget and the simplified Newton the rest.
+    """
 
     tol: float = 1e-12
     max_iterations: int = 100
-    mode: str = "fixed-point-with-newton-fallback"
 
     def __post_init__(self):
         if not self.tol > 0:
             raise ValueError("tol must be positive")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
-        if self.mode not in ("fixed-point-with-newton-fallback", "newton-only"):
-            raise ValueError(f"unknown mode {self.mode!r}")
 
 
 def coeff_fixed(p: int) -> CoefficientSet:
@@ -234,35 +238,49 @@ def _residual(g0, hist, tau, rhs, t_new, y):
     return g0 * y + hist - tau * np.asarray(rhs(t_new, y), dtype=complex)
 
 
-def _newton(g0, hist, tau, rhs, t_new, y0, cfg: ImplicitSolveConfig, budget: int):
-    y = np.array(y0, dtype=complex)
+def _inverse_jacobian(g0, hist, tau, rhs, t_new, y, res):
+    """Invert the finite-difference Jacobian of the residual at ``y``."""
     d = y.shape[0]
+    jac = np.empty((d, d), dtype=complex)
+    for i in range(d):
+        h = 1e-7 * (1.0 + abs(y[i]))
+        yp = y.copy()
+        yp[i] += h
+        jac[:, i] = (_residual(g0, hist, tau, rhs, t_new, yp) - res) / h
+    try:
+        return solve_dense(jac, np.eye(d))
+    except SingularMatrix as exc:
+        raise SingularJacobian(str(exc)) from exc
+
+
+def _newton(g0, hist, tau, rhs, t_new, y0, cfg: ImplicitSolveConfig, budget: int):
+    """Simplified Newton: one Jacobian and one factorization for the solve.
+
+    Each iteration costs one residual and one mat-vec. The first increment
+    that fails to shrink refreshes the Jacobian once, at the current
+    iterate; a second failure or an exhausted budget raises NoConvergence.
+    """
+    y = np.array(y0, dtype=complex)
     res = _residual(g0, hist, tau, rhs, t_new, y)
+    inv = _inverse_jacobian(g0, hist, tau, rhs, t_new, y, res)
+    refreshed = False
+    prev_size = math.inf
     for _ in range(budget):
-        jac = np.empty((d, d), dtype=complex)
-        for i in range(d):
-            h = 1e-7 * (1.0 + abs(y[i]))
-            yp = y.copy()
-            yp[i] += h
-            jac[:, i] = (_residual(g0, hist, tau, rhs, t_new, yp) - res) / h
-        try:
-            delta = solve_dense(jac, -res)
-        except SingularMatrix as exc:
-            raise SingularJacobian(str(exc)) from exc
-        # halve the step until the residual actually drops
-        lam = 1.0
-        norm0 = np.max(np.abs(res))
-        for _ in range(30):
-            y_try = y + lam * delta
-            res_try = _residual(g0, hist, tau, rhs, t_new, y_try)
-            if np.max(np.abs(res_try)) < norm0 or lam < 1e-8:
+        delta = inv @ res
+        size = float(np.abs(delta).max())
+        if not size < prev_size:
+            if refreshed:
                 break
-            lam *= 0.5
-        y = y + lam * delta
-        res = _residual(g0, hist, tau, rhs, t_new, y)
-        if lam * np.max(np.abs(delta)) < cfg.tol:
+            refreshed = True
+            inv = _inverse_jacobian(g0, hist, tau, rhs, t_new, y, res)
+            delta = inv @ res
+            size = float(np.abs(delta).max())
+        y = y - delta
+        if size < cfg.tol:
             return y
-    raise NoConvergence(f"newton exhausted {budget} iterations at t={t_new}")
+        prev_size = size
+        res = _residual(g0, hist, tau, rhs, t_new, y)
+    raise NoConvergence(f"newton did not converge in {budget} iterations at t={t_new}")
 
 
 def bdf_step(
@@ -277,8 +295,9 @@ def bdf_step(
     ``weights`` are ``(g_0, g_1..g_p)`` for the window's nodes and the target
     ``window.times[-1] + tau``, laid out as ``CoefficientSet.weights``.
     Returns ``(new_window, y_new)`` where ``new_window`` is the input shifted
-    by one node. The fixed-point sweep starts from the newest state and falls
-    back to damped Newton on stagnation or divergence.
+    by one node. The fixed-point sweep starts from the newest state; once a
+    sweep contracts by less than a factor of ten, or diverges, the solve
+    restarts from that state with a simplified Newton.
     """
     if len(weights) != window.p + 1:
         raise ValueError(f"need {window.p + 1} weights for {window.p} nodes, got {len(weights)}")
@@ -291,20 +310,19 @@ def bdf_step(
 
     y = np.array(window.states[-1], dtype=complex)
     newton_budget = max(1, cfg.max_iterations // 2)
-    if cfg.mode == "fixed-point-with-newton-fallback":
-        prev_step = None
-        with np.errstate(all="ignore"):
-            for _ in range(max(1, cfg.max_iterations - newton_budget)):
-                y_new = (tau * np.asarray(rhs(t_new, y), dtype=complex) - hist) / g0
-                step = float(np.abs(y_new - y).max())
-                if not math.isfinite(step):
-                    break
-                if step < cfg.tol:
-                    return window.advanced(t_new, y_new), y_new
-                if prev_step is not None and step > 4.0 * prev_step:
-                    break
-                prev_step = step
-                y = y_new
-        y = np.array(window.states[-1], dtype=complex)
-    y = _newton(g0, hist, tau, rhs, t_new, y, cfg, newton_budget)
+    prev_step = None
+    with np.errstate(all="ignore"):
+        for _ in range(max(1, cfg.max_iterations - newton_budget)):
+            y_new = (tau * np.asarray(rhs(t_new, y), dtype=complex) - hist) / g0
+            step = float(np.abs(y_new - y).max())
+            if not math.isfinite(step):
+                break
+            if step < cfg.tol:
+                return window.advanced(t_new, y_new), y_new
+            # a sweep that gains less than one digit hands over to Newton
+            if prev_step is not None and step > 0.1 * prev_step:
+                break
+            prev_step = step
+            y = y_new
+    y = _newton(g0, hist, tau, rhs, t_new, window.states[-1], cfg, newton_budget)
     return window.advanced(t_new, y), y

@@ -12,7 +12,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DegreeZero, NoConvergence, SingularMatrix
 
@@ -55,6 +54,8 @@ def solve_dense(matrix, rhs) -> np.ndarray:
     Raises SingularMatrix when a pivot magnitude falls below
     1e-14 times the largest matrix entry.
     """
+    import scipy.linalg  # deferred: `import cbdf` stays free of scipy
+
     a = np.asarray(matrix, dtype=complex)
     b = np.asarray(rhs, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:

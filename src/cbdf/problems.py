@@ -12,7 +12,6 @@ from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 
 from .bdf_core import HistoryWindow, ImplicitSolveConfig
 from .errors import DomainError, MissingExactSolution, UnknownProblem
@@ -69,6 +68,9 @@ def _exp_weighted_arctan(t: float, lam: float, scale: float) -> float:
     Integrates e^{lam (t-s)} arctan(scale*s) over [0, t]; the kernel decays
     fast for lam << 0, so the domain is truncated where it underflows.
     """
+    # deferred, like solve_dense's scipy.linalg: `import cbdf` stays free of scipy
+    from scipy.integrate import IntegrationWarning, quad
+
     if t <= 0.0:
         return 0.0
     cutoff = min(t, 46.0 / abs(lam))  # e^{-46} is below double roundoff

@@ -150,3 +150,21 @@ def test_adaptive_step_counts_track_tolerance_and_order():
     for p in (3, 4):
         rec = adaptive_drive(prob, p, 0.1, StepController(p=p, tol=1e-9))
         assert len(rec.times) < n_p2
+
+
+def test_stiff_run_rhs_calls_per_step():
+    # the stiff sub-steps leave the sweep after two sweeps and finish with a
+    # simplified Newton instead of sweeping out their iteration budget
+    from cbdf.problems import ODEProblem
+
+    base = builtin("stiff_arctan")
+    calls = [0]
+
+    def rhs(t, y):
+        calls[0] += 1
+        return base.rhs(t, y)
+
+    prob = ODEProblem(rhs, base.t0, base.y0, base.t_end, base.exact, base.name)
+    rec = adaptive_drive(prob, 4, 0.01, StepController(p=4, tol=1e-10))
+    assert rec.times[-1] >= prob.t_end - 1e-12
+    assert calls[0] <= 20 * len(rec.times)

@@ -1,6 +1,8 @@
 """Coefficient generation and the implicit step."""
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cbdf.bdf_core import (
     CoefficientSet,
@@ -175,7 +177,8 @@ def test_bdf_step_residual_contract(rng):
 
 
 def test_fixed_point_contraction_converges():
-    # |lambda tau / g0| < 1: plain fixed-point must succeed within budget
+    # |lambda tau / g0| = 0.4: the sweep contracts too slowly and hands over
+    # to Newton, which must still converge within the budget
     window = HistoryWindow((0.0, 0.5), (np.array([1.0 + 0j]), np.array([0.6 + 0j])))
     cfg = ImplicitSolveConfig(tol=1e-13, max_iterations=80)
     _, y = bdf_step(lambda t, y: -1.2 * y, window, 0.5, variable_weights(window, 0.5), cfg)
@@ -197,11 +200,22 @@ def test_convergence_order_light():
         assert abs(slope - p) <= band
 
 
-def test_newton_only_mode():
+def test_newton_solves_cubic(monkeypatch):
+    # the sweep contracts by 0.27 and hands over to Newton, which factors once
+    import cbdf.bdf_core
+
+    factorizations = []
+
+    def counted(a, b):
+        factorizations.append(a)
+        return solve_dense(a, b)
+
+    monkeypatch.setattr(cbdf.bdf_core, "solve_dense", counted)
     window = HistoryWindow((0.0,), (np.array([1.0 + 0j]),))
-    cfg = ImplicitSolveConfig(tol=1e-13, max_iterations=60, mode="newton-only")
+    cfg = ImplicitSolveConfig(tol=1e-13, max_iterations=60)
     _, y = bdf_step(lambda t, y: -(y**3), window, 0.1, variable_weights(window, 0.1), cfg)
     assert abs(y[0] ** 3 * 0.1 + y[0] - 1.0) < 1e-11
+    assert len(factorizations) == 1
 
 
 def test_singular_jacobian():
@@ -219,27 +233,75 @@ def test_no_convergence_budget():
     from cbdf.errors import NoConvergence
 
     window = HistoryWindow((0.0,), (np.array([1.0 + 0j]),))
-    cfg = ImplicitSolveConfig(tol=1e-13, max_iterations=1, mode="newton-only")
+    cfg = ImplicitSolveConfig(tol=1e-13, max_iterations=1)
     with pytest.raises(NoConvergence):
         bdf_step(lambda t, y: -(y**3) * 40.0, window, 0.9, variable_weights(window, 0.9), cfg)
 
 
-def test_fixed_point_stays_in_contraction_regime():
-    # with |lambda*tau/g0| < 1 the plain sweep reaches the answer without
-    # the newton fallback (counted through rhs evaluations)
+def test_fixed_point_stays_in_contraction_regime(monkeypatch):
+    # with |lambda*tau/g0| = 0.067 < 0.1 every sweep gains a digit, so the
+    # plain sweep reaches the answer without Newton (counted through rhs
+    # evaluations and factorizations)
+    import cbdf.bdf_core
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("newton factorized in the contraction regime")
+
+    monkeypatch.setattr(cbdf.bdf_core, "solve_dense", refuse)
     calls = {"n": 0}
 
     def rhs(t, y):
         calls["n"] += 1
-        return -1.2 * y
+        return -0.2 * y
 
     window = HistoryWindow((0.0, 0.5), (np.array([1.0 + 0j]), np.array([0.6 + 0j])))
     cfg = ImplicitSolveConfig(tol=1e-13, max_iterations=100)
     _, y = bdf_step(rhs, window, 0.5, variable_weights(window, 0.5), cfg)
     c = coeff_variable((0.0, 0.5), 1.0)
-    expect = -(c.weights[1] * 0.6 + c.weights[2] * 1.0) / (c.weights[0] + 1.2 * 0.5)
+    expect = -(c.weights[1] * 0.6 + c.weights[2] * 1.0) / (c.weights[0] + 0.2 * 0.5)
     assert abs(y[0] - expect) < 1e-12
     assert calls["n"] < 50  # newton would need extra evaluations per sweep
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    p=st.integers(1, 8),
+    log_ratio=st.floats(-3.0, 3.0),
+    angle=st.floats(0.5 * np.pi, 1.5 * np.pi),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(p=4, log_ratio=-2.0, angle=np.pi, seed=0)  # |lambda tau/g0| < 0.1: the sweep
+@example(p=4, log_ratio=2.0, angle=0.6 * np.pi, seed=0)  # > 1: Newton
+def test_bdf_step_linear_closed_form(p, log_ratio, angle, seed):
+    # y' = lambda y makes the implicit equation linear: y = -hist/(g0 - tau lambda)
+    weights = coeff_fixed(p).weights
+    g0 = weights[0].real
+    z = g0 * 10.0**log_ratio * np.exp(1j * angle)  # tau*lambda with tau = 1
+    rng = np.random.default_rng(seed)
+    states = tuple(rng.uniform(-1, 1, 2) + 1j * rng.uniform(-1, 1, 2) for _ in range(p))
+    window = HistoryWindow(tuple(float(j) for j in range(p)), states)
+    hist = sum(w * s for w, s in zip(weights[1:], reversed(states)))
+    expect = -hist / (g0 - z)
+    scale = np.abs(expect).max()
+    cfg = ImplicitSolveConfig(tol=1e-14 * scale)
+    _, y = bdf_step(lambda t, y: z * y, window, 1.0, weights, cfg)
+    assert np.abs(y - expect).max() <= 1e-12 * scale
+
+
+def test_fixed_grid_never_reaches_newton(monkeypatch):
+    # mirrors the benchmark's fixed-grid guard: no sub-step leaves the sweep
+    import cbdf.bdf_core
+    from cbdf.cli import integrate_fixed
+    from cbdf.problems import builtin
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("newton factorized on the fixed grid")
+
+    monkeypatch.setattr(cbdf.bdf_core, "solve_dense", refuse)
+    prob = builtin("cubic_decay")
+    for scheme, orders in (("composed", (1, 2, 3, 4)), ("bdf", (2, 3, 4, 5))):
+        for p in orders:
+            assert integrate_fixed(prob, scheme, p, 1 / 160)
 
 
 def test_production_paths_take_weights_from_their_caller(monkeypatch):
