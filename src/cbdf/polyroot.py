@@ -54,14 +54,20 @@ def solve_dense(matrix, rhs) -> np.ndarray:
     Raises SingularMatrix when a pivot magnitude falls below
     1e-14 times the largest matrix entry.
     """
-    import scipy.linalg  # deferred: `import cbdf` stays free of scipy
-
     a = np.asarray(matrix, dtype=complex)
     b = np.asarray(rhs, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
         raise ValueError(f"matrix must be square and nonempty, got shape {a.shape}")
     if b.shape[0] != a.shape[0]:
         raise ValueError("rhs length does not match matrix size")
+    if a.shape[0] == 1:
+        # a 1x1 matrix is its own LU factor and pivot: skip LAPACK's call overhead
+        if a[0, 0] == 0:
+            raise SingularMatrix(f"pivot 0.000e+00 below {_PIVOT_RTOL:.0e} * 0.000e+00")
+        return b / a[0, 0]
+
+    import scipy.linalg  # deferred: `import cbdf` stays free of scipy
+
     scale = np.max(np.abs(a))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)

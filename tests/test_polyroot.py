@@ -34,6 +34,15 @@ def test_solve_singular_1x1():
         solve_dense(np.array([[0.0]]), np.array([1.0]))
 
 
+def test_solve_1x1_is_division():
+    a = np.array([[2.0 - 3.0j]])
+    b = np.array([[1.0, 0.5j, -4.0]])
+    x = solve_dense(a, b)
+    assert x.shape == b.shape and x.dtype == complex
+    assert np.array_equal(x, b / (2.0 - 3.0j))
+    assert solve_dense(a, np.array([1.0])).shape == (1,)
+
+
 def test_roots_factored_quadratic():
     roots = find_roots(ComplexPolynomial((-1.0, 0.0, 1.0)))
     assert np.allclose(sorted(r.real for r in roots), [-1.0, 1.0], atol=1e-12)
