@@ -13,11 +13,9 @@ from .adaptivity import (
     ratio_clamp,
 )
 from .bdf_core import (
-    CoefficientSet,
     HistoryWindow,
     ImplicitSolveConfig,
     bdf_step,
-    check_order_conditions,
     coeff_fixed,
     coeff_variable,
     g_closed_form,
@@ -34,7 +32,7 @@ from .composition import (
     ratios_from_window,
     solve_alpha1,
 )
-from .polyroot import ComplexPolynomial, find_roots, solve_dense
+from .polyroot import find_roots, solve_dense
 from .problems import ODEProblem, bootstrap, builtin, lambert_w
 from .stability import (
     StabilityRegion,
@@ -49,16 +47,13 @@ from .stability import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ComplexPolynomial",
     "solve_dense",
     "find_roots",
     "HistoryWindow",
-    "CoefficientSet",
     "ImplicitSolveConfig",
     "coeff_fixed",
     "coeff_variable",
     "g_closed_form",
-    "check_order_conditions",
     "bdf_step",
     "CompositionSetup",
     "ComposedStepOutput",

@@ -3,18 +3,17 @@ the admissible-ratio lower bounds, and the adaptive driver.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bdf_core import ImplicitSolveConfig
+from .bdf_core import DRIVER_SOLVE_CFG
 from .composition import build_setup, composed_step, ratios_from_window, solve_alpha1
 from .errors import NoAdmissibleRoot, NoConvergence
 from .problems import ODEProblem, bootstrap
 
 _BISECT_TOL = 1e-4
-_SOLVE_CFG = ImplicitSolveConfig(tol=1e-13, max_iterations=200)
+_TAU_FLOOR = 1e-12  # smallest step the controller proposes
 _MAX_STEPS = 500000
 
 
@@ -31,17 +30,13 @@ def ratio_clamp(p: int) -> float:
 
 @dataclass(frozen=True)
 class StepController:
-    """Tolerance, absolute step limits, and the relative ratio clamp."""
+    """Tolerance and base order, which fixes the relative ratio clamp."""
 
     p: int
     tol: float
-    tau_min: float = 1e-12
-    tau_max: float = math.inf
 
     def __post_init__(self):
         ratio_clamp(self.p)  # rejects an order outside 1..8
-        if not self.tau_min < self.tau_max:
-            raise ValueError("tau_min must be below tau_max")
         if not self.tol > 0:
             raise ValueError("tol must be positive")
 
@@ -54,7 +49,8 @@ class StepController:
 def next_step(tau_n: float, e_n: float, ctl: StepController) -> float:
     """Controller update: rescale by (tol/e)^(1/(p+2)), then clamp.
 
-    A zero error estimate maps to the upper relative clamp.
+    A zero error estimate maps to the upper relative clamp; no step falls
+    below 1e-12.
     """
     if tau_n <= 0:
         raise ValueError("tau_n must be positive")
@@ -65,7 +61,7 @@ def next_step(tau_n: float, e_n: float, ctl: StepController) -> float:
     else:
         tau = tau_n * (ctl.tol / e_n) ** (1.0 / (ctl.p + 2))
         tau = min(max(tau, tau_n / ctl.ell), tau_n * ctl.ell)
-    return min(max(tau, ctl.tau_min), ctl.tau_max)
+    return max(tau, _TAU_FLOOR)
 
 
 def _history_gaps(p: int, mode: str) -> list:
@@ -171,7 +167,7 @@ def adaptive_drive(
         if t >= t_end - 1e-14 * max(1.0, abs(t_end)):
             return rec
         setup = build_setup(ratios_from_window(window, tau))
-        window, out = composed_step(problem.rhs, window, tau, setup, _SOLVE_CFG)
+        window, out = composed_step(problem.rhs, window, tau, setup, DRIVER_SOLVE_CFG)
         t = window.times[-1].real
         rec.times.append(t)
         rec.states.append(out.y_real.copy())
@@ -184,13 +180,13 @@ def adaptive_drive(
             remaining = t_end - t
             # land exactly on t_end only when the shortened step keeps the
             # consecutive ratio admissible; otherwise overshoot slightly
-            if ctl.tau_min < remaining < tau_next and remaining >= tau / ctl.ell:
+            if _TAU_FLOOR < remaining < tau_next and remaining >= tau / ctl.ell:
                 tau_next = remaining
         else:
             if e_n == 0.0:
                 tau_next = tau * 10.0
             else:
                 tau_next = tau * (ctl.tol / e_n) ** (1.0 / (ctl.p + 2))
-            tau_next = max(tau_next, ctl.tau_min)
+            tau_next = max(tau_next, _TAU_FLOOR)
         tau = tau_next
     raise NoConvergence(f"exceeded {_MAX_STEPS} steps before reaching t_end = {t_end}")

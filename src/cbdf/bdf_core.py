@@ -1,15 +1,16 @@
 """Backward-difference coefficient generation and the implicit one-step flow.
 
-The implicit step takes its weights from its caller: ``coeff_fixed`` gives
-the exact rational weights of a uniform grid, and a composed step passes
-the two weight sets of its ``CompositionSetup``. It solves the resulting
+The implicit step takes its weights from its caller as a plain tuple
+``(g_0, g_1..g_p)``: ``coeff_fixed`` gives the exact rational weights of a
+uniform grid, and a composed step passes the two weight sets of its
+``CompositionSetup``. It solves the resulting
 nonlinear equation by a fixed-point sweep while each sweep gains at least a
 digit. A slower or diverging sweep hands over to a simplified Newton that
 builds one finite-difference Jacobian and one factorization per solve,
 refreshing them once if an increment fails to shrink.
-``coeff_variable`` builds the weights of any distinct, possibly complex,
-node set from divided-difference products; it is the reference the closed
-forms are checked against.
+``coeff_variable`` builds the weight tuple of any distinct, possibly
+complex, node set from divided-difference products; it is the reference
+the closed forms are checked against, and no step calls it.
 """
 from __future__ import annotations
 
@@ -81,36 +82,6 @@ class HistoryWindow:
 
 
 @dataclass(frozen=True)
-class CoefficientSet:
-    """Weights g_0..g_p for one implicit step, with their generating data.
-
-    ``weights[0]`` multiplies the unknown at ``target = nodes[-1] + step``;
-    ``weights[j]`` multiplies the j-th newest history value.
-    """
-
-    weights: tuple
-    step: complex
-    nodes: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "weights", tuple(complex(w) for w in self.weights))
-        object.__setattr__(self, "step", complex(self.step))
-        object.__setattr__(self, "nodes", tuple(complex(t) for t in self.nodes))
-        if len(self.weights) != len(self.nodes) + 1:
-            raise ValueError("need exactly one weight per node plus the target weight")
-        if self.weights[0] == 0:
-            raise ValueError("leading weight must be nonzero")
-
-    @property
-    def p(self) -> int:
-        return len(self.nodes)
-
-    @property
-    def target(self) -> complex:
-        return self.nodes[-1] + self.step
-
-
-@dataclass(frozen=True)
 class ImplicitSolveConfig:
     """Stopping rule and iteration budget for the implicit solve.
 
@@ -128,8 +99,12 @@ class ImplicitSolveConfig:
             raise ValueError("max_iterations must be at least 1")
 
 
-def coeff_fixed(p: int) -> CoefficientSet:
-    """Uniform-grid weights of order p, exact rationals evaluated in floats."""
+# the solve settings of every production driver: fixed-grid runs and adaptive_drive
+DRIVER_SOLVE_CFG = ImplicitSolveConfig(tol=1e-13, max_iterations=200)
+
+
+def coeff_fixed(p: int) -> tuple:
+    """Uniform-grid weights (g_0, ..., g_p) of order p, exact rationals evaluated in floats."""
     if not 1 <= p <= MAX_ORDER:
         raise OrderOutOfRange(f"order must be in [1, {MAX_ORDER}], got {p}")
     weights = []
@@ -138,8 +113,7 @@ def coeff_fixed(p: int) -> CoefficientSet:
         for j in range(max(1, i), p + 1):
             acc += Fraction(math.comb(j, i), j)
         weights.append(complex((-1) ** i * acc))
-    nodes = tuple(complex(-j) for j in range(p, 0, -1))
-    return CoefficientSet(tuple(weights), 1.0 + 0j, nodes)
+    return tuple(weights)
 
 
 def _check_distinct(points: Sequence[complex]):
@@ -152,8 +126,8 @@ def _check_distinct(points: Sequence[complex]):
                 )
 
 
-def coeff_variable(times: Sequence[complex], t_new: complex) -> CoefficientSet:
-    """Variable-node weights via divided-difference products.
+def coeff_variable(times: Sequence[complex], t_new: complex) -> tuple:
+    """Variable-node weights ``(g_0, ..., g_p)`` via divided-difference products.
 
     ``times`` are the p history nodes oldest first; the step is
     ``t_new - times[-1]``. The weights satisfy the order-p moment system
@@ -181,7 +155,7 @@ def coeff_variable(times: Sequence[complex], t_new: complex) -> CoefficientSet:
                     c /= T[j] - T[l]
             acc += b * c
         weights.append(acc)
-    return CoefficientSet(tuple(weights), tau, times)
+    return tuple(weights)
 
 
 def g_closed_form(eps: Sequence[complex]) -> tuple:
@@ -209,29 +183,6 @@ def g_closed_form(eps: Sequence[complex]) -> tuple:
                 prod *= eps[j] / (eps[i] - eps[j])
         weights.append(sign / eps[i] * prod)
     return tuple(weights)
-
-
-def scaled_offsets(coeffs: CoefficientSet) -> tuple:
-    """Offsets eps_j = (target - t_{n-j})/step for j = 1..p, newest first."""
-    t_star = coeffs.target
-    return tuple((t_star - t) / coeffs.step for t in reversed(coeffs.nodes))
-
-
-def check_order_conditions(coeffs: CoefficientSet, p: int) -> bool:
-    """True iff the weights satisfy the order-p moment sums within 1e-9."""
-    if len(coeffs.weights) != p + 1:
-        return False
-    g = coeffs.weights
-    eps = scaled_offsets(coeffs)
-    sums = [sum(g)]
-    sums.append(sum(e * gj for e, gj in zip(eps, g[1:])) + 1.0)
-    for m in range(2, p + 1):
-        sums.append(sum(e**m * gj for e, gj in zip(eps, g[1:])))
-    for m, s in enumerate(sums):
-        magn = sum(abs(e) ** max(m, 1) * abs(gj) for e, gj in zip(eps, g[1:])) + abs(g[0])
-        if abs(s) > 1e-9 * max(1.0, magn):
-            return False
-    return True
 
 
 def _residual(g0, hist, tau, rhs, t_new, y):
@@ -293,7 +244,8 @@ def bdf_step(
     """Advance the window by one implicit step of size ``tau``.
 
     ``weights`` are ``(g_0, g_1..g_p)`` for the window's nodes and the target
-    ``window.times[-1] + tau``, laid out as ``CoefficientSet.weights``.
+    ``window.times[-1] + tau``: ``g_0`` multiplies the unknown and ``g_j``
+    the j-th newest history state, as ``coeff_fixed`` returns them.
     Returns ``(new_window, y_new)`` where ``new_window`` is the input shifted
     by one node. The fixed-point sweep starts from the newest state; once a
     sweep contracts by less than a factor of ten, or diverges, the solve

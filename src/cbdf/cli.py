@@ -17,11 +17,10 @@ import time
 import numpy as np
 
 from . import adaptivity, composition, problems, stability
-from .bdf_core import ImplicitSolveConfig, bdf_step, coeff_fixed
+from .bdf_core import DRIVER_SOLVE_CFG, bdf_step, coeff_fixed
 from .errors import CbdfError, NoAdmissibleRoot, UnknownProblem
+from .polyroot import find_roots
 from .problems import bootstrap
-
-_TABLE_TOL = ImplicitSolveConfig(tol=1e-13, max_iterations=200)
 
 
 def _fmt(x: float) -> str:
@@ -35,8 +34,7 @@ def _load_problem(name: str) -> problems.ODEProblem:
     return problems.builtin(name)
 
 
-def integrate_fixed(problem, scheme: str, p: int, tau: float,
-                    cfg: ImplicitSolveConfig = _TABLE_TOL) -> dict:
+def integrate_fixed(problem, scheme: str, p: int, tau: float) -> dict:
     """Fixed-step run with exact bootstrap; returns {step index: error}.
 
     The composed scheme of base order p carries p history points and has
@@ -47,17 +45,19 @@ def integrate_fixed(problem, scheme: str, p: int, tau: float,
     window = bootstrap(problem, p, tau, policy="exact")
     # a uniform grid has one ratio ladder, so one setup or weight set serves every step
     if scheme == "bdf":
-        weights = coeff_fixed(p).weights
+        weights = coeff_fixed(p)
     else:
         setup = composition.build_setup(composition.ratios_from_window(window, tau))
     n_total = round((problem.t_end - problem.t0) / tau)
     errors = {}
     for n in range(p, n_total + 1):
         if scheme == "bdf":
-            window, y = bdf_step(problem.rhs, window, tau, weights, cfg)
+            window, y = bdf_step(problem.rhs, window, tau, weights, DRIVER_SOLVE_CFG)
             y_real = y.real
         else:
-            window, out = composition.composed_step(problem.rhs, window, tau, setup, cfg)
+            window, out = composition.composed_step(
+                problem.rhs, window, tau, setup, DRIVER_SOLVE_CFG
+            )
             y_real = out.y_real
         t_n = window.times[-1].real
         errors[n] = float(np.max(np.abs(problem.exact(t_n) - y_real)))
@@ -144,8 +144,6 @@ def run_roots(p: int, ratios=None, stream=None) -> complex:
         if len(full) != p:
             raise ValueError(f"expected {p - 1} ratios r2..rp, got {len(full) - 1}")
     poly = composition.alpha1_polynomial(full)
-    from .polyroot import find_roots
-
     roots = find_roots(poly)
     try:
         selected = composition.solve_alpha1(full)
@@ -157,7 +155,7 @@ def run_roots(p: int, ratios=None, stream=None) -> complex:
         if z.real > 0:
             res = abs(composition.G_coefficients(z, full)[-1])
         else:
-            res = abs(poly(z))
+            res = abs(np.polynomial.polynomial.polyval(z, poly))
         mark = "*" if selected is not None and abs(z - selected) < 1e-13 * (1 + abs(z)) else ""
         stream.write(f"{_fmt(z.real)},{_fmt(z.imag)},{_fmt(res)},{mark}\n")
     return selected

@@ -28,7 +28,7 @@ from .errors import (
     NoConvergence,
     PoleEvaluation,
 )
-from .polyroot import ComplexPolynomial, find_roots
+from .polyroot import find_roots
 
 
 @dataclass(frozen=True)
@@ -73,8 +73,8 @@ def ratios_from_window(window: HistoryWindow, tau: float) -> tuple:
     return tuple((t_last - window.times[window.p - j]) / tau for j in range(1, window.p + 1))
 
 
-def alpha1_polynomial(ratios: Sequence[complex]) -> ComplexPolynomial:
-    """Cleared-denominator form of the sub-step fraction equation.
+def alpha1_polynomial(ratios: Sequence[complex]) -> np.ndarray:
+    """Ascending complex coefficients of the cleared sub-step fraction equation.
 
     Multiplying (1-a)^2 * sum_j a/(a+r_j) + a^2 (1 + r_p/a) = 0 by
     prod_j (a+r_j) and deflating the spurious root a = 0 (introduced by
@@ -88,7 +88,7 @@ def alpha1_polynomial(ratios: Sequence[complex]) -> ComplexPolynomial:
     # sum_j a/(a+r_j) times prod_j (a+r_j) = aP is a (aP)', whose a^k coefficient is (k+1) P_k
     poly = np.convolve(np.array([1.0, -2.0, 1.0], dtype=complex), P * np.arange(1, len(P) + 1))
     poly[1:] += np.convolve(np.array([r[-1], 1.0 + 0j]), P)
-    return ComplexPolynomial(tuple(poly))
+    return poly
 
 
 def G_coefficients(alpha1: complex, ratios: Sequence[complex]) -> tuple:

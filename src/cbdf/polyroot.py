@@ -2,50 +2,19 @@
 
 Coefficient generation and sub-step fraction solving funnel their linear
 algebra through these entry points, so the error contracts live here and
-nowhere else. Stability scans need no roots: ``stability`` classifies
+nowhere else. A polynomial is an array of its coefficients in ascending
+degree order. Stability scans need no roots: ``stability`` classifies
 points by the Schur-Cohn recursion instead.
 """
 from __future__ import annotations
 
 import warnings
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .errors import DegreeZero, NoConvergence, SingularMatrix
 
 _PIVOT_RTOL = 1e-14
-
-
-@dataclass(frozen=True)
-class ComplexPolynomial:
-    """A polynomial with complex coefficients in ascending degree order.
-
-    Trailing (highest-degree) zero coefficients are stripped on construction,
-    so ``degree == len(coefficients) - 1`` and the leading coefficient is
-    nonzero for any polynomial that is not identically zero.
-    """
-
-    coefficients: tuple = field()
-
-    def __post_init__(self):
-        coeffs = [complex(c) for c in self.coefficients]
-        while len(coeffs) > 1 and coeffs[-1] == 0:
-            coeffs.pop()
-        if not coeffs:
-            coeffs = [0j]
-        object.__setattr__(self, "coefficients", tuple(coeffs))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
-
-    def __call__(self, x: complex) -> complex:
-        acc = 0j
-        for c in reversed(self.coefficients):
-            acc = acc * x + c
-        return acc
 
 
 def solve_dense(matrix, rhs) -> np.ndarray:
@@ -122,13 +91,11 @@ def find_roots_batch(coeff_rows) -> np.ndarray:
     return z
 
 
-def find_roots(poly: ComplexPolynomial) -> list:
-    """All complex roots (with multiplicity) of ``poly``, sorted by (Re, Im).
+def find_roots(coeffs) -> list:
+    """All complex roots (with multiplicity) of one polynomial, sorted by (Re, Im).
 
-    Raises DegreeZero for constant input and NoConvergence when the
-    eigenvalue iteration fails.
+    ``coeffs`` are ascending with a nonzero leading coefficient; the errors
+    are those of ``find_roots_batch``.
     """
-    if poly.degree < 1:
-        raise DegreeZero("cannot take roots of a constant polynomial")
-    roots = find_roots_batch(np.array([poly.coefficients]))[0]
+    roots = find_roots_batch(np.asarray(coeffs, dtype=complex)[None, :])[0]
     return sorted((complex(r) for r in roots), key=lambda r: (r.real, r.imag))

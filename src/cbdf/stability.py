@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
 
 import numpy as np
 
@@ -33,13 +32,10 @@ class StabilityRegion:
     nx: int
     ny: int
     mask: np.ndarray  # [nx, ny], True = stable
-    angle_deg: Optional[float] = None
 
     def __post_init__(self):
         if self.mask.shape != (self.nx, self.ny):
             raise ValueError("mask shape must be (nx, ny)")
-        if self.angle_deg is not None and not 0.0 <= self.angle_deg <= 90.0:
-            raise ValueError("angle_deg must lie in [0, 90]")
 
 
 @lru_cache(maxsize=None)
@@ -79,7 +75,7 @@ def _char_rows(order: int, z: np.ndarray, scheme: str) -> np.ndarray:
     if scheme == "bdf":
         if not 1 <= order <= 6:
             raise OrderOutOfRange(f"bdf order must be in 1..6, got {order}")
-        g = coeff_fixed(order).weights
+        g = coeff_fixed(order)
         rows = np.empty((z.size, order + 1), dtype=complex)
         rows[:, 0] = g[0] - z
         for i in range(1, order + 1):
@@ -127,7 +123,6 @@ def region_raster(
     nx: int,
     ny: int,
     scheme: str = "composed",
-    angle_deg: Optional[float] = None,
 ) -> StabilityRegion:
     """Rasterize the stability set over a rectangle, cell-center sampling."""
     if nx < 2 or ny < 2:
@@ -140,7 +135,7 @@ def region_raster(
     zz = xs[:, None] + 1j * ys[None, :]
     rows = _char_rows(order, zz.ravel(), scheme)
     mask = _stable_mask(rows).reshape(nx, ny)
-    return StabilityRegion(order, scheme, (xmin, xmax, ymin, ymax), nx, ny, mask, angle_deg)
+    return StabilityRegion(order, scheme, (xmin, xmax, ymin, ymax), nx, ny, mask)
 
 
 def _rays_stable(order: int, scheme: str, theta_deg: float, radii: np.ndarray) -> bool:

@@ -47,7 +47,7 @@ def stage2_system(alpha1, ratios):
 
 def variable_weights(window, tau):
     """Weights of one step of ``tau`` from ``window``, by divided differences."""
-    return coeff_variable(window.times, window.times[-1] + tau).weights
+    return coeff_variable(window.times, window.times[-1] + tau)
 
 
 def draw_ratios(rng, p):

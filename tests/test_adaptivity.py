@@ -30,8 +30,6 @@ def test_controller_validation():
     assert ctl.ell == pytest.approx(2.0 ** (1.0 / 3.0))
     with pytest.raises(ValueError):
         StepController(p=3, tol=-1.0)
-    with pytest.raises(ValueError):
-        StepController(p=3, tol=1e-8, tau_min=1.0, tau_max=0.5)
 
 
 def test_next_step_fixed_point():
@@ -52,9 +50,11 @@ def test_next_step_zero_error_upper_clamp():
 
 
 def test_next_step_absolute_clamps():
-    ctl = StepController(p=1, tol=1e-8, tau_min=0.05, tau_max=0.12)
+    ctl = StepController(p=1, tol=1e-8)
+    # halving 1.5e-12 would fall below the 1e-12 floor, which holds the step
+    assert next_step(1.5e-12, 1e6, ctl) == 1e-12
     assert next_step(0.1, 1e6, ctl) == pytest.approx(0.05)
-    assert next_step(0.1, 0.0, ctl) == pytest.approx(0.12)
+    assert next_step(0.1, 0.0, ctl) == pytest.approx(0.2)
 
 
 def test_clamp_soundness(rng):

@@ -171,15 +171,32 @@ def test_adaptive_trace_determinism(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_import_loads_no_scipy():
-    # scipy is imported where it is used, so a cold `import cbdf` stays light
+def _fresh_python(code):
+    """Run ``code`` in a new interpreter that imports this checkout's cbdf."""
     import cbdf
 
     src = str(Path(cbdf.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
-    code = "import sys, cbdf; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip()
+
+
+def test_import_loads_no_scipy():
+    # scipy is imported where it is used, so a cold `import cbdf` stays light
+    code = "import sys, cbdf; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    assert _fresh_python(code) == "[]"
+
+
+def test_public_names_resolve():
+    # every exported name exists, and a star import in a fresh interpreter binds them all
+    import cbdf
+
+    missing = [name for name in cbdf.__all__ if not hasattr(cbdf, name)]
+    assert not missing
+    assert len(set(cbdf.__all__)) == len(cbdf.__all__)
+    code = ("from cbdf import *; import cbdf; "
+            "print(sorted(n for n in cbdf.__all__ if n not in globals()))")
+    assert _fresh_python(code) == "[]"

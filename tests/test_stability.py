@@ -32,8 +32,8 @@ def test_theta_against_direct_assembly():
     for p, z in ((1, -1.0), (3, -0.7 + 0.3j)):
         a1 = solve_alpha1(tuple(float(j - 1) for j in range(1, p + 1)))
         hist = tuple(float(j) for j in range(p))
-        g = coeff_variable(hist, (p - 1) + a1).weights
-        gk = coeff_variable(hist[1:] + ((p - 1) + a1,), float(p)).weights
+        g = coeff_variable(hist, (p - 1) + a1)
+        gk = coeff_variable(hist[1:] + ((p - 1) + a1,), float(p))
         lead = a1 * z - g[0]
         ref = [lead * (gk[0] - (1 - a1) * z)]
         for i in range(1, p):
@@ -47,10 +47,10 @@ def test_theta_against_direct_assembly():
 def test_positive_axis_instability_lens():
     # derived truth: the order-3 composed flow loses root containment on a
     # bounded lens near the positive real axis, and regains it beyond
-    from cbdf.polyroot import ComplexPolynomial, find_roots
+    from cbdf.polyroot import find_roots
 
     th = theta_coefficients(2, 10.0)
-    roots = find_roots(ComplexPolynomial(tuple(reversed(th))))
+    roots = find_roots(tuple(reversed(th)))
     assert len(roots) == 2
     assert is_stable_point(3, 10.0)
     assert not is_stable_point(3, 1.0)
