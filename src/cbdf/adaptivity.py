@@ -3,6 +3,7 @@ the admissible-ratio lower bounds, and the adaptive driver.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,12 +51,13 @@ def next_step(tau_n: float, e_n: float, ctl: StepController) -> float:
     """Controller update: rescale by (tol/e)^(1/(p+2)), then clamp.
 
     A zero error estimate maps to the upper relative clamp; no step falls
-    below 1e-12.
+    below 1e-12. A NaN or an infinite step, or a NaN estimate, raises
+    ValueError.
     """
-    if tau_n <= 0:
-        raise ValueError("tau_n must be positive")
-    if e_n < 0:
-        raise ValueError("e_n must be nonnegative")
+    if not 0 < tau_n < math.inf:
+        raise ValueError(f"tau_n must be positive and finite, got {tau_n!r}")
+    if not e_n >= 0:
+        raise ValueError(f"e_n must be nonnegative, got {e_n!r}")
     if e_n == 0.0:
         tau = tau_n * ctl.ell
     else:

@@ -4,10 +4,12 @@ The implicit step takes its weights from its caller as a plain tuple
 ``(g_0, g_1..g_p)``: ``coeff_fixed`` gives the exact rational weights of a
 uniform grid, and a composed step passes the two weight sets of its
 ``CompositionSetup``. It solves the resulting
-nonlinear equation by a fixed-point sweep while each sweep gains at least a
-digit. A slower or diverging sweep hands over to a simplified Newton that
-builds one finite-difference Jacobian and one factorization per solve,
-refreshing them once if an increment fails to shrink.
+nonlinear equation by a fixed-point sweep, started from the window's
+interpolating polynomial extrapolated to the new node, while each sweep
+gains at least a digit. A slower or diverging sweep hands over to a
+simplified Newton that builds one finite-difference Jacobian and one
+factorization per solve, refreshing them once if an increment fails to
+shrink.
 ``coeff_variable`` builds the weight tuple of any distinct, possibly
 complex, node set from divided-difference products; it is the reference
 the closed forms are checked against, and no step calls it.
@@ -36,32 +38,33 @@ MAX_ORDER = 8
 RhsFunction = Callable[[complex, np.ndarray], np.ndarray]
 
 
-def _as_state(y) -> np.ndarray:
-    arr = np.atleast_1d(np.asarray(y, dtype=complex)).copy()
-    arr.setflags(write=False)
-    return arr
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HistoryWindow:
-    """p time nodes with their p state vectors, oldest first."""
+    """p time nodes with their p state vectors, oldest first.
+
+    ``states`` is one read-only ``[p, d]`` complex array; the constructor
+    copies whatever sequence of states it is given.
+    """
 
     times: tuple
-    states: tuple
+    states: np.ndarray
 
     def __post_init__(self):
         times = tuple(complex(t) for t in self.times)
-        states = tuple(_as_state(y) for y in self.states)
-        if len(times) != len(states):
+        rows = [np.atleast_1d(np.asarray(y, dtype=complex)) for y in self.states]
+        if len(times) != len(rows):
             raise ValueError("times and states must have equal length")
         if not 1 <= len(times) <= MAX_ORDER:
             raise ValueError(f"window length must be in [1, {MAX_ORDER}], got {len(times)}")
         for a, b in zip(times, times[1:]):
             if not b.real > a.real:
                 raise ValueError("times must be strictly increasing in real part")
-        dims = {s.shape for s in states}
-        if len(dims) > 1:
+        if len({r.shape for r in rows}) > 1:
             raise ValueError("states must share one shape")
+        if rows[0].ndim != 1:
+            raise ValueError("each state must be a vector")
+        states = np.array(rows)
+        states.setflags(write=False)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "states", states)
 
@@ -70,15 +73,31 @@ class HistoryWindow:
         return len(self.times)
 
     def advanced(self, t_new: complex, y_new) -> "HistoryWindow":
-        """Drop the oldest node and append (t_new, y_new).
+        """Drop the oldest node and append (t_new, y_new), in a fresh array.
 
         Skips re-validation: shifting a valid window by a forward node
         preserves every invariant.
         """
+        states = np.empty(self.states.shape, dtype=complex)
+        states[:-1] = self.states[1:]
+        states[-1] = y_new
+        states.setflags(write=False)
         win = object.__new__(HistoryWindow)
         object.__setattr__(win, "times", self.times[1:] + (complex(t_new),))
-        object.__setattr__(win, "states", self.states[1:] + (_as_state(y_new),))
+        object.__setattr__(win, "states", states)
         return win
+
+
+def _extrapolate(window: HistoryWindow, t: complex) -> np.ndarray:
+    """Value at ``t`` of the polynomial of degree p - 1 through the window's states."""
+    lagrange = []
+    for j, tj in enumerate(window.times):
+        c = 1.0 + 0j
+        for k, tk in enumerate(window.times):
+            if k != j:
+                c *= (t - tk) / (tj - tk)
+        lagrange.append(c)
+    return np.dot(lagrange, window.states)
 
 
 @dataclass(frozen=True)
@@ -247,9 +266,10 @@ def bdf_step(
     ``window.times[-1] + tau``: ``g_0`` multiplies the unknown and ``g_j``
     the j-th newest history state, as ``coeff_fixed`` returns them.
     Returns ``(new_window, y_new)`` where ``new_window`` is the input shifted
-    by one node. The fixed-point sweep starts from the newest state; once a
+    by one node. The fixed-point sweep starts from the predictor, the
+    window's interpolating polynomial extrapolated to the target; once a
     sweep contracts by less than a factor of ten, or diverges, the solve
-    restarts from that state with a simplified Newton.
+    restarts from the predictor with a simplified Newton.
     """
     if len(weights) != window.p + 1:
         raise ValueError(f"need {window.p + 1} weights for {window.p} nodes, got {len(weights)}")
@@ -257,15 +277,18 @@ def bdf_step(
     t_new = window.times[-1] + tau
     if not t_new.real > window.times[-1].real:
         raise ValueError("step must advance the real part of time")
-    g0, g = weights[0], weights[1:]
-    hist = sum(gi * s for gi, s in zip(g, reversed(window.states)))
+    g0 = weights[0]
+    hist = np.dot(weights[:0:-1], window.states)
+    y_start = _extrapolate(window, t_new)
 
-    y = np.array(window.states[-1], dtype=complex)
+    # each sweep is y <- (tau f(y) - hist) / g0, with both quotients taken once
+    tau_g0, hist_g0 = tau / g0, hist / g0
+    y = y_start
     newton_budget = max(1, cfg.max_iterations // 2)
     prev_step = None
     with np.errstate(all="ignore"):
         for _ in range(max(1, cfg.max_iterations - newton_budget)):
-            y_new = (tau * np.asarray(rhs(t_new, y), dtype=complex) - hist) / g0
+            y_new = tau_g0 * rhs(t_new, y) - hist_g0
             step = float(np.abs(y_new - y).max())
             if not math.isfinite(step):
                 break
@@ -276,5 +299,5 @@ def bdf_step(
                 break
             prev_step = step
             y = y_new
-    y = _newton(g0, hist, tau, rhs, t_new, window.states[-1], cfg, newton_budget)
+    y = _newton(g0, hist, tau, rhs, t_new, y_start, cfg, newton_budget)
     return window.advanced(t_new, y), y

@@ -263,7 +263,7 @@ def composed_step(
                         setup.G[: setup.p + 1], cfg)
     y_real = y_hat.real.copy()
     raw = y_hat.imag.copy()
-    out_window = window.advanced(t_last + tau, y_real.astype(complex))
+    out_window = window.advanced(t_last + tau, y_real)
     output = ComposedStepOutput(
         y_hat=y_hat,
         y_real=y_real,

@@ -57,6 +57,15 @@ def test_next_step_absolute_clamps():
     assert next_step(0.1, 0.0, ctl) == pytest.approx(0.2)
 
 
+@pytest.mark.parametrize("tau_n, e_n", [
+    (math.nan, 1e-8), (0.1, math.nan), (math.inf, 1e-8), (0.0, 1e-8), (0.1, -1e-8),
+])
+def test_next_step_rejects_nan_and_infinite_inputs(tau_n, e_n):
+    # a NaN used to pass both sign checks and come back as a NaN step
+    with pytest.raises(ValueError, match="tau_n|e_n"):
+        next_step(tau_n, e_n, StepController(p=3, tol=1e-8))
+
+
 def test_clamp_soundness(rng):
     ctl = StepController(p=3, tol=1e-9)
     tau = 0.3
@@ -153,8 +162,9 @@ def test_adaptive_step_counts_track_tolerance_and_order():
 
 
 def test_stiff_run_rhs_calls_per_step():
-    # the stiff sub-steps leave the sweep after two sweeps and finish with a
-    # simplified Newton instead of sweeping out their iteration budget
+    # the stiff sub-steps start from the predictor, leave the sweep after two
+    # sweeps and finish with a simplified Newton instead of sweeping out their
+    # iteration budget: about 11 RHS calls per step
     from cbdf.problems import ODEProblem
 
     base = builtin("stiff_arctan")
@@ -167,4 +177,4 @@ def test_stiff_run_rhs_calls_per_step():
     prob = ODEProblem(rhs, base.t0, base.y0, base.t_end, base.exact, base.name)
     rec = adaptive_drive(prob, 4, 0.01, StepController(p=4, tol=1e-10))
     assert rec.times[-1] >= prob.t_end - 1e-12
-    assert calls[0] <= 20 * len(rec.times)
+    assert calls[0] <= 12 * len(rec.times)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from cbdf.bdf_core import (
     HistoryWindow,
     ImplicitSolveConfig,
+    _extrapolate,
     bdf_step,
     coeff_fixed,
     coeff_variable,
@@ -119,6 +120,58 @@ def test_uniform_grid_equivalence(p):
     var = coeff_variable(times, float(p))
     fix = coeff_fixed(p)
     assert np.max(np.abs(np.array(var) - np.array(fix))) <= 1e-12
+
+
+@pytest.mark.parametrize("times, states, match", [
+    ((0.0, 1.0), ([1.0],), "equal length"),
+    ((), (), "window length"),
+    ((1.0, 0.5), ([1.0], [2.0]), "increasing"),
+    ((0.0, 1.0), ([1.0], [2.0, 3.0]), "one shape"),
+    ((0.0,), (np.eye(2),), "vector"),
+])
+def test_window_validation(times, states, match):
+    with pytest.raises(ValueError, match=match):
+        HistoryWindow(times, states)
+
+
+def test_window_states_are_one_read_only_copy():
+    y0 = np.array([1.0, 2.0])
+    window = HistoryWindow((0.0, 1.0), (y0, (3.0, 4.0)))
+    y0[0] = 9.0
+    assert window.states.shape == (2, 2) and window.states.dtype == complex
+    assert not window.states.flags.writeable
+    assert np.array_equal(window.states, [[1.0, 2.0], [3.0, 4.0]])
+
+
+def test_advanced_writes_a_fresh_array():
+    window = HistoryWindow((0.0, 1.0), (np.array([1.0, 2.0]), np.array([3.0, 4.0])))
+    before = window.states.copy()
+    new = window.advanced(2.0, np.array([5.0, 6.0]))
+    assert new.times == (1.0, 2.0)
+    assert np.array_equal(new.states, [[3.0, 4.0], [5.0, 6.0]])
+    assert not new.states.flags.writeable
+    assert not np.shares_memory(new.states, window.states)
+    assert np.array_equal(window.states, before) and window.times == (0.0, 1.0)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(p=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+def test_start_value_reproduces_polynomials(p, seed):
+    # states sampled from a polynomial of degree <= p - 1 at increasing real
+    # nodes: the predictor must return that polynomial at any target
+    rng = np.random.default_rng(seed)
+    times = tuple(np.cumsum(rng.uniform(0.2, 1.0, p)))
+    coeffs = rng.uniform(-1, 1, (p, 2)) + 1j * rng.uniform(-1, 1, (p, 2))
+
+    def poly(t):
+        return sum(c * (t - times[-1]) ** k for k, c in enumerate(coeffs))
+
+    window = HistoryWindow(times, tuple(poly(t) for t in times))
+    h = rng.uniform(0.2, 1.0)
+    for t in (times[-1] + h, times[-1] + h * complex(rng.uniform(0.2, 1.0), rng.uniform(-1, 1))):
+        expect = poly(t)
+        scale = max(np.abs(expect).max(), np.abs(window.states).max())
+        assert np.abs(_extrapolate(window, t) - expect).max() <= 1e-10 * scale
 
 
 def test_bdf_step_implicit_euler_linear():
@@ -307,6 +360,32 @@ def test_fixed_grid_never_reaches_newton(monkeypatch):
     for scheme, orders in (("composed", (1, 2, 3, 4)), ("bdf", (2, 3, 4, 5))):
         for p in orders:
             assert integrate_fixed(prob, scheme, p, 1 / 160)
+
+
+def test_composed_fixed_grid_rhs_budget(monkeypatch):
+    # started from the predictor, the order-4 sweep needs about three RHS
+    # calls per sub-step; from the newest state it needed six
+    import cbdf.composition
+    from cbdf.cli import integrate_fixed
+    from cbdf.problems import ODEProblem, builtin
+
+    base = builtin("cubic_decay")
+    calls = {"rhs": 0, "substeps": 0}
+
+    def rhs(t, y):
+        calls["rhs"] += 1
+        return base.rhs(t, y)
+
+    step = cbdf.composition.bdf_step
+
+    def counted(*args):
+        calls["substeps"] += 1
+        return step(*args)
+
+    monkeypatch.setattr(cbdf.composition, "bdf_step", counted)
+    prob = ODEProblem(rhs, base.t0, base.y0, base.t_end, base.exact, base.name)
+    assert integrate_fixed(prob, "composed", 4, 1 / 160)
+    assert calls["rhs"] <= 4 * calls["substeps"]
 
 
 def test_production_paths_take_weights_from_their_caller(monkeypatch):

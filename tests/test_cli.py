@@ -200,3 +200,13 @@ def test_public_names_resolve():
     code = ("from cbdf import *; import cbdf; "
             "print(sorted(n for n in cbdf.__all__ if n not in globals()))")
     assert _fresh_python(code) == "[]"
+
+
+def test_readme_quick_start_runs():
+    # the documented HistoryWindow and composed_step example runs, and its
+    # last line prints what the comment on that line says
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("## Library quick start", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    expect = code.rstrip().splitlines()[-1].split("# ", 1)[1]
+    assert _fresh_python(code).splitlines()[-1] == expect
