@@ -19,6 +19,7 @@ from .bdf_core import (
     coeff_fixed,
     coeff_variable,
     g_closed_form,
+    predictor_weights,
 )
 from .composition import (
     ComposedStepOutput,
@@ -27,7 +28,6 @@ from .composition import (
     alpha1_polynomial,
     build_setup,
     composed_step,
-    error_constant,
     gbar_fixed,
     ratios_from_window,
     solve_alpha1,
@@ -54,6 +54,7 @@ __all__ = [
     "coeff_fixed",
     "coeff_variable",
     "g_closed_form",
+    "predictor_weights",
     "bdf_step",
     "CompositionSetup",
     "ComposedStepOutput",
@@ -62,7 +63,6 @@ __all__ = [
     "solve_alpha1",
     "G_coefficients",
     "gbar_fixed",
-    "error_constant",
     "build_setup",
     "composed_step",
     "StabilityRegion",

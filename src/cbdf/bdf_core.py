@@ -1,15 +1,15 @@
 """Backward-difference coefficient generation and the implicit one-step flow.
 
-The implicit step takes its weights from its caller as a plain tuple
-``(g_0, g_1..g_p)``: ``coeff_fixed`` gives the exact rational weights of a
-uniform grid, and a composed step passes the two weight sets of its
-``CompositionSetup``. It solves the resulting
-nonlinear equation by a fixed-point sweep, started from the window's
-interpolating polynomial extrapolated to the new node, while each sweep
-gains at least a digit. A slower or diverging sweep hands over to a
-simplified Newton that builds one finite-difference Jacobian and one
-factorization per solve, refreshing them once if an increment fails to
-shrink.
+The implicit step takes its weights from its caller as plain tuples: the
+step weights ``(g_0, g_1..g_p)`` and the predictor weights that
+extrapolate the window's history to the new node. ``coeff_fixed`` and
+``predictor_weights`` give both for a uniform grid, and a composed step
+passes the two sets of each that its ``CompositionSetup`` carries. It
+solves the resulting nonlinear equation by a fixed-point sweep, started
+from the predictor, while each sweep gains at least a digit. A slower or
+diverging sweep hands over to a simplified Newton that builds one
+finite-difference Jacobian and one factorization per solve, refreshing
+them once if an increment fails to shrink.
 ``coeff_variable`` builds the weight tuple of any distinct, possibly
 complex, node set from divided-difference products; it is the reference
 the closed forms are checked against, and no step calls it.
@@ -88,18 +88,6 @@ class HistoryWindow:
         return win
 
 
-def _extrapolate(window: HistoryWindow, t: complex) -> np.ndarray:
-    """Value at ``t`` of the polynomial of degree p - 1 through the window's states."""
-    lagrange = []
-    for j, tj in enumerate(window.times):
-        c = 1.0 + 0j
-        for k, tk in enumerate(window.times):
-            if k != j:
-                c *= (t - tk) / (tj - tk)
-        lagrange.append(c)
-    return np.dot(lagrange, window.states)
-
-
 @dataclass(frozen=True)
 class ImplicitSolveConfig:
     """Stopping rule and iteration budget for the implicit solve.
@@ -132,6 +120,23 @@ def coeff_fixed(p: int) -> tuple:
         for j in range(max(1, i), p + 1):
             acc += Fraction(math.comb(j, i), j)
         weights.append(complex((-1) ** i * acc))
+    return tuple(weights)
+
+
+def predictor_weights(times: Sequence[complex], t_new: complex) -> tuple:
+    """Lagrange weights, oldest node first, of the degree p - 1 interpolant at ``t_new``.
+
+    Applied to a window's states they extrapolate its history to the new
+    node; the weights depend only on the nodes' relative positions, so a
+    caller may pass the nodes in units of the step.
+    """
+    weights = []
+    for j, tj in enumerate(times):
+        c = 1.0 + 0j
+        for k, tk in enumerate(times):
+            if k != j:
+                c *= (t_new - tk) / (tj - tk)
+        weights.append(c)
     return tuple(weights)
 
 
@@ -185,22 +190,20 @@ def g_closed_form(eps: Sequence[complex]) -> tuple:
     nonzero offsets.
     """
     eps = tuple(complex(e) for e in eps)
-    p = len(eps)
-    scale = max(abs(e) for e in eps)
-    if any(abs(e) <= 1e-14 * max(1.0, scale) for e in eps):
+    tol = 1e-14 * max(1.0, max(abs(e) for e in eps))
+    if any(abs(e) <= tol for e in eps):
         raise DuplicateEps("offsets must be nonzero")
-    for i in range(p):
-        for j in range(i + 1, p):
-            if abs(eps[i] - eps[j]) <= 1e-14 * max(1.0, scale):
-                raise DuplicateEps(f"offsets {eps[i]} and {eps[j]} coincide")
     weights = [sum(1.0 / e for e in eps)]
-    sign = (-1) ** p
-    for i in range(p):
+    sign = (-1) ** len(eps)
+    for i, ei in enumerate(eps):
         prod = 1.0 + 0j
-        for j in range(p):
+        for j, ej in enumerate(eps):
             if j != i:
-                prod *= eps[j] / (eps[i] - eps[j])
-        weights.append(sign / eps[i] * prod)
+                diff = ei - ej
+                if abs(diff) <= tol:
+                    raise DuplicateEps(f"offsets {eps[min(i, j)]} and {eps[max(i, j)]} coincide")
+                prod *= ej / diff
+        weights.append(sign / ei * prod)
     return tuple(weights)
 
 
@@ -258,6 +261,7 @@ def bdf_step(
     window: HistoryWindow,
     tau: complex,
     weights: Sequence[complex],
+    predictor: Sequence[complex],
     cfg: ImplicitSolveConfig = ImplicitSolveConfig(),
 ) -> tuple:
     """Advance the window by one implicit step of size ``tau``.
@@ -265,21 +269,25 @@ def bdf_step(
     ``weights`` are ``(g_0, g_1..g_p)`` for the window's nodes and the target
     ``window.times[-1] + tau``: ``g_0`` multiplies the unknown and ``g_j``
     the j-th newest history state, as ``coeff_fixed`` returns them.
-    Returns ``(new_window, y_new)`` where ``new_window`` is the input shifted
-    by one node. The fixed-point sweep starts from the predictor, the
-    window's interpolating polynomial extrapolated to the target; once a
-    sweep contracts by less than a factor of ten, or diverges, the solve
-    restarts from the predictor with a simplified Newton.
+    ``predictor`` holds the ``predictor_weights`` of the window's nodes at
+    the target, oldest first. Returns ``(new_window, y_new)`` where
+    ``new_window`` is the input shifted by one node. The fixed-point sweep
+    starts from the predictor, the window's interpolating polynomial
+    extrapolated to the target; once a sweep contracts by less than a
+    factor of ten, or diverges, the solve restarts from the predictor with
+    a simplified Newton.
     """
     if len(weights) != window.p + 1:
         raise ValueError(f"need {window.p + 1} weights for {window.p} nodes, got {len(weights)}")
+    if len(predictor) != window.p:
+        raise ValueError(f"need {window.p} predictor weights, got {len(predictor)}")
     tau = complex(tau)
     t_new = window.times[-1] + tau
     if not t_new.real > window.times[-1].real:
         raise ValueError("step must advance the real part of time")
     g0 = weights[0]
     hist = np.dot(weights[:0:-1], window.states)
-    y_start = _extrapolate(window, t_new)
+    y_start = np.dot(predictor, window.states)
 
     # each sweep is y <- (tau f(y) - hist) / g0, with both quotients taken once
     tau_g0, hist_g0 = tau / g0, hist / g0

@@ -17,7 +17,7 @@ import time
 import numpy as np
 
 from . import adaptivity, composition, problems, stability
-from .bdf_core import DRIVER_SOLVE_CFG, bdf_step, coeff_fixed
+from .bdf_core import DRIVER_SOLVE_CFG, bdf_step, coeff_fixed, predictor_weights
 from .errors import CbdfError, NoAdmissibleRoot, UnknownProblem
 from .polyroot import find_roots
 from .problems import bootstrap
@@ -46,13 +46,14 @@ def integrate_fixed(problem, scheme: str, p: int, tau: float) -> dict:
     # a uniform grid has one ratio ladder, so one setup or weight set serves every step
     if scheme == "bdf":
         weights = coeff_fixed(p)
+        predictor = predictor_weights(tuple(range(1 - p, 1)), 1.0)
     else:
         setup = composition.build_setup(composition.ratios_from_window(window, tau))
     n_total = round((problem.t_end - problem.t0) / tau)
     errors = {}
     for n in range(p, n_total + 1):
         if scheme == "bdf":
-            window, y = bdf_step(problem.rhs, window, tau, weights, DRIVER_SOLVE_CFG)
+            window, y = bdf_step(problem.rhs, window, tau, weights, predictor, DRIVER_SOLVE_CFG)
             y_real = y.real
         else:
             window, out = composition.composed_step(

@@ -3,13 +3,16 @@ then one of 1 - alpha1, whose real output gains one order of accuracy and
 whose imaginary part estimates the local error.
 
 The sub-step fraction is the positive-real-part root of an algebraic
-equation in the step ratios; the second-stage weights and the error
-constant follow from it in closed form.
+equation in the step ratios, found by a scalar Newton iteration from the
+uniform ladder's root; the second-stage weights, the error constant and
+both sub-steps' predictor weights follow from it in closed form, over
+Python scalars.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -20,6 +23,7 @@ from .bdf_core import (
     RhsFunction,
     bdf_step,
     g_closed_form,
+    predictor_weights,
 )
 from .errors import (
     DegenerateDenominator,
@@ -43,6 +47,8 @@ class CompositionSetup:
     g: tuple  # first-stage weights g_0..g_p, for the offsets eps
     G: tuple  # second-stage weights G_0..G_{p+1}; G_0..G_p drive the second sub-step
     error_constant: float
+    predictor1: tuple  # predictor weights of the first sub-step, oldest node first
+    predictor2: tuple  # ... and of the second, whose newest node is the intermediate one
 
     def __post_init__(self):
         if self.alpha1 + self.alpha2 != 1.0:
@@ -73,6 +79,21 @@ def ratios_from_window(window: HistoryWindow, tau: float) -> tuple:
     return tuple((t_last - window.times[window.p - j]) / tau for j in range(1, window.p + 1))
 
 
+def _alpha1_coeffs(r: tuple) -> list:
+    """``alpha1_polynomial`` as a list of Python complex coefficients."""
+    P = [1.0 + 0j]  # ascending; the elementary symmetric polynomials of r_2..r_p
+    for rj in r[1:]:
+        P = [rj * P[0]] + [P[k - 1] + rj * P[k] for k in range(1, len(P))] + [P[-1]]
+    poly = [0j] * (len(P) + 2)
+    for k, c in enumerate(P):
+        # sum_j a/(a+r_j) times prod_j (a+r_j) = aP is a (aP)', whose a^k coefficient is (k+1) P_k
+        d = (k + 1) * c
+        poly[k] += d
+        poly[k + 1] += r[-1] * c - 2.0 * d
+        poly[k + 2] += c + d
+    return poly
+
+
 def alpha1_polynomial(ratios: Sequence[complex]) -> np.ndarray:
     """Ascending complex coefficients of the cleared sub-step fraction equation.
 
@@ -81,14 +102,18 @@ def alpha1_polynomial(ratios: Sequence[complex]) -> np.ndarray:
     r_1 = 0) leaves (1-a)^2 (aP)' + (a^2 + r_p a) P with P = prod_{j>=2} (a+r_j),
     a polynomial of degree p+1 with leading coefficient p+1.
     """
-    r = [complex(v) for v in ratios]
-    P = np.array([1.0 + 0j])  # ascending; the elementary symmetric polynomials of r_2..r_p
-    for rj in r[1:]:
-        P = np.convolve(P, np.array([rj, 1.0 + 0j]))
-    # sum_j a/(a+r_j) times prod_j (a+r_j) = aP is a (aP)', whose a^k coefficient is (k+1) P_k
-    poly = np.convolve(np.array([1.0, -2.0, 1.0], dtype=complex), P * np.arange(1, len(P) + 1))
-    poly[1:] += np.convolve(np.array([r[-1], 1.0 + 0j]), P)
-    return poly
+    return np.array(_alpha1_coeffs(tuple(complex(v) for v in ratios)))
+
+
+def _offsets(alpha1: complex, r: tuple) -> tuple:
+    """The node-offset table of one composed step, ``(eps, w)``.
+
+    ``eps_j = 1 + r_j/alpha1`` are the first sub-step's scaled offsets and
+    ``w = (1 - alpha1, 1 + r_1, .., 1 + r_p)`` the second's, the
+    intermediate node first.
+    """
+    return (tuple(1.0 + rv / alpha1 for rv in r),
+            (1.0 - alpha1,) + tuple(1.0 + rv for rv in r))
 
 
 def G_coefficients(alpha1: complex, ratios: Sequence[complex]) -> tuple:
@@ -100,47 +125,94 @@ def G_coefficients(alpha1: complex, ratios: Sequence[complex]) -> tuple:
     offsets. G_0 closes the set through the zero-sum row.
     """
     alpha1 = complex(alpha1)
-    r = np.asarray(ratios, dtype=complex)
-    p = len(r)
-    eps = 1.0 + r / alpha1
-    g0 = np.sum(1.0 / eps)
-    w = np.concatenate(([1.0 - alpha1], 1.0 + r))  # node offsets; w[0] is the intermediate
+    eps, w = _offsets(alpha1, tuple(complex(v) for v in ratios))
+    p = len(eps)
+    g0 = sum(1.0 / e for e in eps)
     if abs(w[0] * g0 - alpha1) < 1e-12:
         raise DegenerateDenominator(f"|Ebar0*g0 - alpha1| = {abs(w[0]*g0 - alpha1):.3e}")
-    kappa = (-alpha1) ** (p + 1) / g0 * np.prod(eps)
+    kappa = (-alpha1) ** (p + 1) / g0 * math.prod(eps)
     sign = (-1) ** p
-    raw = np.empty(p + 1, dtype=complex)
-    denom = np.empty(p + 1, dtype=complex)
-    for i in range(p + 1):
+    raw, denom = [], []
+    for i, wi in enumerate(w):
         num = 1.0 + 0j
-        den = w[i]
-        for l in range(p + 1):
+        den = wi
+        for l, wl in enumerate(w):
             if l != i:
-                num *= w[l]
-                den *= w[i] - w[l]
+                num *= wl
+                den *= wi - wl
         if den == 0:
             raise DegenerateDenominator("coincident node offsets")
-        raw[i] = -w[0] * sign * num / den
-        denom[i] = den
+        raw.append(-w[0] * sign * num / den)
+        denom.append(den)
     d0 = 1.0 + kappa / denom[0]
     if abs(d0) < 1e-12:
         raise DegenerateDenominator("corrected leading denominator vanished")
-    x = np.empty(p + 1, dtype=complex)
-    x[0] = raw[0] / d0
-    for i in range(1, p + 1):
-        x[i] = raw[i] - kappa * x[0] / denom[i]
-    return (complex(-np.sum(x)),) + tuple(complex(v) for v in x)
+    x0 = raw[0] / d0
+    x = [x0] + [raw[i] - kappa * x0 / denom[i] for i in range(1, p + 1)]
+    return (-sum(x),) + tuple(x)
 
 
-def _admissible_root(ratios: Sequence[complex]) -> tuple:
-    """``(alpha1, G_coefficients(alpha1, ratios))`` for the root solve_alpha1 picks."""
-    roots = find_roots(alpha1_polynomial(ratios))
+# Newton steps allowed before the companion matrix takes over; from the
+# uniform root, the adaptive driver's clamped ladders settle in 5 to 7
+_NEWTON_MAX_ITER = 20
+
+
+def _newton_root(coeffs: list, z: complex):
+    """Newton's root of the polynomial from ``z``, or None if it does not settle.
+
+    Each iteration evaluates the polynomial and its derivative by Horner's
+    rule; the iteration has settled once a step is below 1e-14 of the root.
+    """
+    lead, rest = coeffs[-1], coeffs[-2::-1]
+    for _ in range(_NEWTON_MAX_ITER):
+        f, df = lead, 0j
+        for c in rest:
+            df = df * z + f
+            f = f * z + c
+        if df == 0:
+            return None
+        step = f / df
+        z -= step
+        if abs(step) <= 1e-14 * abs(z):
+            return z
+    return None
+
+
+def _companion_root(coeffs: list, r: tuple) -> complex:
+    """The root solve_alpha1 picks, from all companion-matrix roots."""
+    roots = find_roots(coeffs)
     admissible = [z for z in roots if z.real > 0.0]
     if not admissible:
-        raise NoAdmissibleRoot(f"no positive-real-part root for ratios {tuple(ratios)}")
+        raise NoAdmissibleRoot(f"no positive-real-part root for ratios {r}")
     upper = [z for z in admissible if z.imag > 0.0]
-    root = max(upper or admissible, key=lambda z: z.real)
-    G = G_coefficients(root, ratios)
+    return max(upper or admissible, key=lambda z: z.real)
+
+
+@lru_cache(maxsize=None)
+def _uniform_root(p: int) -> complex:
+    """The admissible root of the uniform ladder 0, 1, .., p - 1."""
+    r = tuple(complex(j) for j in range(p))
+    return _companion_root(_alpha1_coeffs(r), r)
+
+
+def _admissible_root(r: tuple) -> tuple:
+    """``(alpha1, G_coefficients(alpha1, r))`` for the root solve_alpha1 picks.
+
+    ``r`` holds the ratios as complex numbers. On a real ladder, Newton's iteration from the uniform ladder's root is
+    kept when it settles in the open upper-right quadrant and zeroes the
+    trailing weight G_(p+1): at most one root lies there, so it is the root
+    the companion rule picks. Otherwise every root comes from the companion
+    matrix and the rule of solve_alpha1 picks one.
+    """
+    coeffs = _alpha1_coeffs(r)
+    if all(rv.imag == 0.0 for rv in r):
+        z = _newton_root(coeffs, _uniform_root(len(r)))
+        if z is not None and z.real > 0.0 and z.imag > 0.0:
+            G = G_coefficients(z, r)
+            if abs(G[-1]) <= 1e-9:
+                return z, G
+    root = _companion_root(coeffs, r)
+    G = G_coefficients(root, r)
     if abs(G[-1]) > 1e-9:
         raise NoConvergence(f"refined root leaves |G_(p+1)| = {abs(G[-1]):.3e}")
     return root, G
@@ -152,10 +224,12 @@ def solve_alpha1(ratios: Sequence[complex]) -> complex:
     Among roots with positive real part, prefers positive imaginary part,
     then the largest real part. For real ratio ladders at most one root
     lies in the open upper-right quadrant, so the choice depends on the
-    ratios alone. Raises NoAdmissibleRoot when every root has Re <= 0, and
-    NoConvergence when the root leaves the trailing weight G_(p+1) above 1e-9.
+    ratios alone, and a Newton iteration from the uniform ladder's root
+    usually finds it without the companion matrix. Raises NoAdmissibleRoot
+    when every root has Re <= 0, and NoConvergence when the root leaves the
+    trailing weight G_(p+1) above 1e-9.
     """
-    return _admissible_root(ratios)[0]
+    return _admissible_root(tuple(complex(v) for v in ratios))[0]
 
 
 _GBAR_FORMS = {
@@ -190,30 +264,20 @@ def gbar_fixed(p: int, alpha: complex) -> complex:
     return n / d
 
 
-def _error_constant(alpha1: complex, r: tuple, g: tuple, G: tuple) -> float:
-    """Error constant from the first- and second-stage weights g and G."""
-    p = len(r)
+def _error_constant(alpha1: complex, w: tuple, g: tuple, G: tuple) -> float:
+    """Real factor mapping the imaginary part to the local error of the real part.
+
+    Built from the second sub-step's node offsets ``w`` and both weight sets.
+    """
+    p = len(w) - 1
     g0 = g[0]
-    ebar = (1.0 - alpha1,) + tuple(1.0 + rv for rv in r)
-    acc = sum((G[i + 1] - G[1] / g0 * g[i]) * ebar[i] ** (p + 2) for i in range(p + 1))
-    acc += (p + 2) * alpha1 * ebar[0] ** (p + 1)
+    acc = sum((G[i + 1] - G[1] / g0 * g[i]) * w[i] ** (p + 2) for i in range(p + 1))
+    acc += (p + 2) * alpha1 * w[0] ** (p + 1)
     curly = (-1) ** (p + 2) / math.factorial(p + 2) * acc
     ratio = curly / G[0]
     if abs(ratio.imag) < 1e-14 * abs(ratio):
         raise DegenerateImaginaryPart(f"imaginary part of {ratio} is numerically zero")
     return ratio.real / ratio.imag
-
-
-def error_constant(alpha1: complex, ratios: Sequence[complex]) -> float:
-    """Real factor mapping the imaginary part to the local error of the real part.
-
-    ``alpha1`` need not solve the fraction equation; ``build_setup`` stores
-    the same value for the admissible root of ``ratios``.
-    """
-    alpha1 = complex(alpha1)
-    r = tuple(complex(v) for v in ratios)
-    g = g_closed_form(tuple(1.0 + rv / alpha1 for rv in r))
-    return _error_constant(alpha1, r, g, G_coefficients(alpha1, r))
 
 
 def build_setup(ratios: Sequence[complex]) -> CompositionSetup:
@@ -224,8 +288,10 @@ def build_setup(ratios: Sequence[complex]) -> CompositionSetup:
     """
     r = tuple(complex(v) for v in ratios)
     alpha1, G = _admissible_root(r)
-    eps = tuple(1.0 + rv / alpha1 for rv in r)
+    eps, w = _offsets(alpha1, r)
     g = g_closed_form(eps)
+    # the window's nodes in units of the step, from t_{n-1} = 0, oldest first
+    nodes = tuple(-rv for rv in reversed(r))
     return CompositionSetup(
         p=len(r),
         ratios=r,
@@ -234,7 +300,9 @@ def build_setup(ratios: Sequence[complex]) -> CompositionSetup:
         eps=eps,
         g=g,
         G=G,
-        error_constant=_error_constant(alpha1, r, g, G),
+        error_constant=_error_constant(alpha1, w, g, G),
+        predictor1=predictor_weights(nodes, alpha1),
+        predictor2=predictor_weights(nodes[1:] + (alpha1,), 1.0),
     )
 
 
@@ -252,15 +320,17 @@ def composed_step(
     complex result and the intermediate state ride along in the output
     record. ``setup`` holds the constants for the window's step ratios,
     ``build_setup(ratios_from_window(window, tau))``, including both sub-steps'
-    weights; raises ValueError when its node count differs from the window's.
+    weights and predictors; raises ValueError when its node count differs
+    from the window's.
     """
     if setup.p != window.p:
         raise ValueError(f"setup for {setup.p} nodes, window holds {window.p}")
     tau = float(tau)
     t_last = window.times[-1]
-    mid_window, y_half = bdf_step(rhs, window, setup.alpha1 * tau, setup.g, cfg)
+    mid_window, y_half = bdf_step(rhs, window, setup.alpha1 * tau, setup.g,
+                                  setup.predictor1, cfg)
     _, y_hat = bdf_step(rhs, mid_window, (t_last + tau) - mid_window.times[-1],
-                        setup.G[: setup.p + 1], cfg)
+                        setup.G[: setup.p + 1], setup.predictor2, cfg)
     y_real = y_hat.real.copy()
     raw = y_hat.imag.copy()
     out_window = window.advanced(t_last + tau, y_real)

@@ -1,10 +1,13 @@
 """Dense complex linear solves and polynomial roots from companion eigenvalues.
 
-Coefficient generation and sub-step fraction solving funnel their linear
-algebra through these entry points, so the error contracts live here and
-nowhere else. A polynomial is an array of its coefficients in ascending
-degree order. Stability scans need no roots: ``stability`` classifies
-points by the Schur-Cohn recursion instead.
+The implicit step's Newton iteration funnels its linear algebra through
+``solve_dense``, so the error contracts live here and nowhere else. A
+polynomial is an array of its coefficients in ascending degree order.
+The sub-step fraction needs every root of its polynomial only where a
+scalar Newton iteration cannot find the admissible one: for the uniform
+ladder's root that starts the iteration, for complex ladders and for
+ladders with no admissible root. Stability scans need no roots:
+``stability`` classifies points by the Schur-Cohn recursion instead.
 """
 from __future__ import annotations
 

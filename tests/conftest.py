@@ -10,7 +10,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from cbdf.bdf_core import coeff_variable
+from cbdf.bdf_core import coeff_variable, predictor_weights
+from cbdf.composition import _error_constant
+from cbdf.polyroot import solve_dense
 
 
 def stage1_system(eps):
@@ -45,9 +47,21 @@ def stage2_system(alpha1, ratios):
     return a, rhs
 
 
-def variable_weights(window, tau):
-    """Weights of one step of ``tau`` from ``window``, by divided differences."""
-    return coeff_variable(window.times, window.times[-1] + tau)
+def error_constant_at(alpha1, ratios):
+    """The error-constant formula at any fraction ``alpha1``, root or not,
+    evaluated on the weights of the dense stage systems."""
+    r = tuple(complex(v) for v in ratios)
+    g = solve_dense(*stage1_system([1.0 + rv / alpha1 for rv in r]))
+    G = solve_dense(*stage2_system(alpha1, r))
+    w = (1.0 - alpha1,) + tuple(1.0 + rv for rv in r)
+    return _error_constant(alpha1, w, tuple(g), tuple(G))
+
+
+def step_weights(window, tau):
+    """Step and predictor weights of one step of ``tau`` from ``window``,
+    by divided differences and Lagrange products on the window's own nodes."""
+    t_new = window.times[-1] + tau
+    return coeff_variable(window.times, t_new), predictor_weights(window.times, t_new)
 
 
 def draw_ratios(rng, p):

@@ -7,15 +7,15 @@ from hypothesis import strategies as st
 from cbdf.bdf_core import (
     HistoryWindow,
     ImplicitSolveConfig,
-    _extrapolate,
     bdf_step,
     coeff_fixed,
     coeff_variable,
     g_closed_form,
+    predictor_weights,
 )
 from cbdf.errors import DuplicateEps, DuplicateNode, OrderOutOfRange
 from cbdf.polyroot import solve_dense
-from conftest import draw_eps, stage1_system, variable_weights
+from conftest import draw_eps, stage1_system, step_weights
 
 TABLE_FIXED = {
     1: (1.0, -1.0),
@@ -158,7 +158,7 @@ def test_advanced_writes_a_fresh_array():
 @given(p=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
 def test_start_value_reproduces_polynomials(p, seed):
     # states sampled from a polynomial of degree <= p - 1 at increasing real
-    # nodes: the predictor must return that polynomial at any target
+    # nodes: the predictor weights must return that polynomial at any target
     rng = np.random.default_rng(seed)
     times = tuple(np.cumsum(rng.uniform(0.2, 1.0, p)))
     coeffs = rng.uniform(-1, 1, (p, 2)) + 1j * rng.uniform(-1, 1, (p, 2))
@@ -171,19 +171,20 @@ def test_start_value_reproduces_polynomials(p, seed):
     for t in (times[-1] + h, times[-1] + h * complex(rng.uniform(0.2, 1.0), rng.uniform(-1, 1))):
         expect = poly(t)
         scale = max(np.abs(expect).max(), np.abs(window.states).max())
-        assert np.abs(_extrapolate(window, t) - expect).max() <= 1e-10 * scale
+        got = np.dot(predictor_weights(window.times, t), window.states)
+        assert np.abs(got - expect).max() <= 1e-10 * scale
 
 
 def test_bdf_step_implicit_euler_linear():
     window = HistoryWindow((0.0,), (np.array([1.0 + 0j]),))
-    _, y = bdf_step(lambda t, y: -y, window, 0.1, variable_weights(window, 0.1),
+    _, y = bdf_step(lambda t, y: -y, window, 0.1, *step_weights(window, 0.1),
                     ImplicitSolveConfig(tol=1e-14))
     assert abs(y[0] - 1.0 / 1.1) < 1e-13
 
 
 def test_bdf_step_two_point_linear():
     window = HistoryWindow((0.0, 0.1), (np.array([1.0 + 0j]), np.array([0.905 + 0j])))
-    _, y = bdf_step(lambda t, y: -y, window, 0.1, variable_weights(window, 0.1),
+    _, y = bdf_step(lambda t, y: -y, window, 0.1, *step_weights(window, 0.1),
                     ImplicitSolveConfig(tol=1e-14))
     expect = (2 * 0.905 - 0.5 * 1.0) / (1.5 + 0.1)
     assert abs(y[0] - expect) < 1e-13
@@ -200,20 +201,23 @@ def test_bdf_step_cubic_vs_bisection():
             hi = mid
     root = 0.5 * (lo + hi)
     window = HistoryWindow((0.0,), (np.array([1.0 + 0j]),))
-    _, y = bdf_step(lambda t, y: -(y**3), window, 0.1, variable_weights(window, 0.1),
+    _, y = bdf_step(lambda t, y: -(y**3), window, 0.1, *step_weights(window, 0.1),
                     ImplicitSolveConfig(tol=1e-14))
     assert abs(y[0] - root) < 1e-12
 
 
 def test_bdf_step_rejects_weights_of_other_order():
     window = HistoryWindow((0.0, 0.1), (np.array([1.0 + 0j]), np.array([0.905 + 0j])))
-    with pytest.raises(ValueError, match="weights"):
-        bdf_step(lambda t, y: -y, window, 0.1, coeff_fixed(3))
+    weights, predictor = step_weights(window, 0.1)
+    with pytest.raises(ValueError, match="need 3 weights"):
+        bdf_step(lambda t, y: -y, window, 0.1, coeff_fixed(3), predictor)
+    with pytest.raises(ValueError, match="need 2 predictor weights"):
+        bdf_step(lambda t, y: -y, window, 0.1, weights, predictor + (0j,))
 
 
 def test_bdf_step_window_shift():
     window = HistoryWindow((0.0, 1.0), (np.array([1.0 + 0j]), np.array([2.0 + 0j])))
-    new, y = bdf_step(lambda t, y: 0 * y, window, 1.0, variable_weights(window, 1.0),
+    new, y = bdf_step(lambda t, y: 0 * y, window, 1.0, *step_weights(window, 1.0),
                       ImplicitSolveConfig(tol=1e-14))
     assert new.times == (1.0, 2.0)
     assert np.allclose(new.states[-1], y)
@@ -226,7 +230,7 @@ def test_bdf_step_residual_contract(rng):
         states = tuple(np.array([np.exp(-t) + 0j]) for t in times)
         window = HistoryWindow(times, states)
         tau = 0.1
-        new, y = bdf_step(lambda t, y: -y, window, tau, variable_weights(window, tau), cfg)
+        new, y = bdf_step(lambda t, y: -y, window, tau, *step_weights(window, tau), cfg)
         c = coeff_variable(times, times[-1] + tau)
         res = c[0] * y + sum(
             c[i] * states[p - i] for i in range(1, p + 1)
@@ -239,7 +243,7 @@ def test_fixed_point_contraction_converges():
     # to Newton, which must still converge within the budget
     window = HistoryWindow((0.0, 0.5), (np.array([1.0 + 0j]), np.array([0.6 + 0j])))
     cfg = ImplicitSolveConfig(tol=1e-13, max_iterations=80)
-    _, y = bdf_step(lambda t, y: -1.2 * y, window, 0.5, variable_weights(window, 0.5), cfg)
+    _, y = bdf_step(lambda t, y: -1.2 * y, window, 0.5, *step_weights(window, 0.5), cfg)
     assert np.isfinite(y).all()
 
 
@@ -271,7 +275,7 @@ def test_newton_solves_cubic(monkeypatch):
     monkeypatch.setattr(cbdf.bdf_core, "solve_dense", counted)
     window = HistoryWindow((0.0,), (np.array([1.0 + 0j]),))
     cfg = ImplicitSolveConfig(tol=1e-13, max_iterations=60)
-    _, y = bdf_step(lambda t, y: -(y**3), window, 0.1, variable_weights(window, 0.1), cfg)
+    _, y = bdf_step(lambda t, y: -(y**3), window, 0.1, *step_weights(window, 0.1), cfg)
     assert abs(y[0] ** 3 * 0.1 + y[0] - 1.0) < 1e-11
     assert len(factorizations) == 1
 
@@ -284,7 +288,7 @@ def test_singular_jacobian():
     g0 = coeff_fixed(2)[0]
     cfg = ImplicitSolveConfig(tol=1e-13, max_iterations=40)
     with pytest.raises(SingularJacobian):
-        bdf_step(lambda t, y: (g0 / 1.0) * y, window, 1.0, variable_weights(window, 1.0), cfg)
+        bdf_step(lambda t, y: (g0 / 1.0) * y, window, 1.0, *step_weights(window, 1.0), cfg)
 
 
 def test_no_convergence_budget():
@@ -293,7 +297,7 @@ def test_no_convergence_budget():
     window = HistoryWindow((0.0,), (np.array([1.0 + 0j]),))
     cfg = ImplicitSolveConfig(tol=1e-13, max_iterations=1)
     with pytest.raises(NoConvergence):
-        bdf_step(lambda t, y: -(y**3) * 40.0, window, 0.9, variable_weights(window, 0.9), cfg)
+        bdf_step(lambda t, y: -(y**3) * 40.0, window, 0.9, *step_weights(window, 0.9), cfg)
 
 
 def test_fixed_point_stays_in_contraction_regime(monkeypatch):
@@ -314,7 +318,7 @@ def test_fixed_point_stays_in_contraction_regime(monkeypatch):
 
     window = HistoryWindow((0.0, 0.5), (np.array([1.0 + 0j]), np.array([0.6 + 0j])))
     cfg = ImplicitSolveConfig(tol=1e-13, max_iterations=100)
-    _, y = bdf_step(rhs, window, 0.5, variable_weights(window, 0.5), cfg)
+    _, y = bdf_step(rhs, window, 0.5, *step_weights(window, 0.5), cfg)
     c = coeff_variable((0.0, 0.5), 1.0)
     expect = -(c[1] * 0.6 + c[2] * 1.0) / (c[0] + 0.2 * 0.5)
     assert abs(y[0] - expect) < 1e-12
@@ -342,7 +346,8 @@ def test_bdf_step_linear_closed_form(p, log_ratio, angle, seed):
     expect = -hist / (g0 - z)
     scale = np.abs(expect).max()
     cfg = ImplicitSolveConfig(tol=1e-14 * scale)
-    _, y = bdf_step(lambda t, y: z * y, window, 1.0, weights, cfg)
+    predictor = predictor_weights(window.times, float(p))
+    _, y = bdf_step(lambda t, y: z * y, window, 1.0, weights, predictor, cfg)
     assert np.abs(y - expect).max() <= 1e-12 * scale
 
 

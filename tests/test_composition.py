@@ -1,23 +1,39 @@
 """The composed two-jump flow and its per-step constants."""
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cbdf.bdf_core import HistoryWindow, ImplicitSolveConfig, bdf_step, coeff_variable, g_closed_form
+from cbdf import composition
+from cbdf.bdf_core import (
+    HistoryWindow,
+    ImplicitSolveConfig,
+    bdf_step,
+    coeff_variable,
+    g_closed_form,
+    predictor_weights,
+)
 from cbdf.composition import (
     G_coefficients,
     alpha1_polynomial,
     build_setup,
     composed_step,
-    error_constant,
     gbar_fixed,
     ratios_from_window,
     solve_alpha1,
 )
 from cbdf.errors import NoAdmissibleRoot, PoleEvaluation
 from cbdf.polyroot import find_roots, solve_dense
-from conftest import draw_alpha, draw_eps, draw_ratios, stage2_system, variable_weights
+from conftest import (
+    draw_alpha,
+    draw_eps,
+    draw_ratios,
+    error_constant_at,
+    stage2_system,
+    step_weights,
+)
 
 PRINTED_ROOTS = {
     1: 0.5 + 0.5j,
@@ -108,7 +124,74 @@ def test_at_most_one_upper_right_root(p, seed):
     assert sum(z.real > 0.0 and z.imag > 0.0 for z in roots) <= 1
 
 
-def test_setup_error_constant_matches_public_entry(rng):
+def _outcome(fn, r):
+    """``fn(r)``, or the type of the exception it raised."""
+    try:
+        return fn(r)
+    except Exception as exc:
+        return type(exc)
+
+
+def _companion_alpha1(r):
+    # solve_alpha1 with its Newton iteration refused, so the companion rule picks
+    with mock.patch.object(composition, "_newton_root", lambda coeffs, z: None):
+        return solve_alpha1(r)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(p=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+def test_newton_root_is_the_companion_pick(p, seed):
+    r = draw_ratios(np.random.default_rng(seed), p)
+    want = _outcome(_companion_alpha1, r)
+    got = _outcome(lambda v: build_setup(v).alpha1, r)
+    if isinstance(want, type):
+        assert got is want
+    else:
+        assert not isinstance(got, type), got
+        assert abs(got - want) <= 1e-14 * abs(want)
+
+
+def test_adaptive_run_solves_the_companion_matrix_once(monkeypatch):
+    # every step's fraction comes from Newton's iteration; the companion
+    # matrix is solved only for its start, the uniform ladder's root
+    from cbdf.adaptivity import StepController, adaptive_drive
+    from cbdf.problems import builtin
+
+    calls = []
+
+    def counted(coeffs):
+        calls.append(len(coeffs))
+        return find_roots(coeffs)
+
+    monkeypatch.setattr(composition, "find_roots", counted)
+    composition._uniform_root.cache_clear()
+    rec = adaptive_drive(builtin("stiff_arctan"), 4, 0.01, StepController(p=4, tol=1e-10))
+    assert len(rec.times) > 100
+    assert calls == [6]
+
+
+def test_complex_and_rootless_ladders_take_the_companion_matrix(monkeypatch):
+    composition._uniform_root(2)  # Newton's start, solved before counting
+    calls = []
+
+    def counted(coeffs):
+        calls.append(len(coeffs))
+        return find_roots(coeffs)
+
+    monkeypatch.setattr(composition, "find_roots", counted)
+    # a complex ladder never starts Newton: the companion rule picks its root
+    r = (0.0, 1.2 + 0.3j)
+    upper = [z for z in find_roots(alpha1_polynomial(r)) if z.real > 0.0 and z.imag > 0.0]
+    assert build_setup(r).alpha1 == max(upper, key=lambda z: z.real)
+    assert len(calls) == 1
+    # a real ladder past the first-step bound has no admissible root, and
+    # the companion matrix raises the same error it always did
+    with pytest.raises(NoAdmissibleRoot):
+        solve_alpha1((0.0, 1.0 / 0.30))
+    assert len(calls) == 2
+
+
+def test_setup_error_constant_matches_dense_oracle(rng):
     ladders = [uniform_ratios(p) for p in range(1, 9)]
     ladders += [draw_ratios(rng, 1 + k % 8) for k in range(40)]
     checked = 0
@@ -118,7 +201,8 @@ def test_setup_error_constant_matches_public_entry(rng):
         except NoAdmissibleRoot:
             continue
         assert s.alpha1 == solve_alpha1(r)
-        assert s.error_constant == error_constant(s.alpha1, r)
+        want = error_constant_at(s.alpha1, r)
+        assert abs(s.error_constant - want) <= 1e-8 * max(1.0, abs(want))
         checked += 1
     assert checked >= 30
 
@@ -173,29 +257,27 @@ def test_gbar_printed_values():
 
 @pytest.mark.parametrize("p", sorted(FROZEN_C))
 def test_error_constant_frozen(p):
-    c = error_constant(solve_alpha1(uniform_ratios(p)), uniform_ratios(p))
+    c = build_setup(uniform_ratios(p)).error_constant
     assert abs(c - FROZEN_C[p]) <= 1e-11 * max(1.0, abs(FROZEN_C[p]))
 
 
 def test_error_constant_variable_frozen():
     r = (0.0, 1.6)
-    c = error_constant(solve_alpha1(r), r)
+    c = build_setup(r).error_constant
     assert abs(c - FROZEN_C2_R16) <= 1e-11 * abs(FROZEN_C2_R16)
 
 
 def test_error_constant_conjugation_flips_sign():
     r = uniform_ratios(3)
-    a1 = solve_alpha1(r)
-    assert abs(error_constant(a1, r) + error_constant(a1.conjugate(), r)) < 1e-10
+    s = build_setup(r)
+    assert abs(s.error_constant + error_constant_at(s.alpha1.conjugate(), r)) < 1e-10
 
 
 def test_error_constant_empirical_band():
     # local-error / imaginary-part ratio agrees with the constant to within
     # an order of magnitude (the estimate carries no stated validity range)
     p = 2
-    r = uniform_ratios(p)
-    a1 = solve_alpha1(r)
-    c2 = error_constant(a1, r)
+    c2 = build_setup(uniform_ratios(p)).error_constant
     exact = lambda t: 1.0 / np.sqrt(1.0 + 2.0 * t)
     tau = 0.0125
     window = window_cubic(p, tau)
@@ -253,9 +335,9 @@ def test_conjugate_branch_conjugates_output():
     a1 = solve_alpha1(uniform_ratios(p))
     out = {}
     for branch, a in (("plus", a1), ("minus", a1.conjugate())):
-        mid, _ = bdf_step(rhs, window, a * tau, variable_weights(window, a * tau), cfg)
+        mid, _ = bdf_step(rhs, window, a * tau, *step_weights(window, a * tau), cfg)
         tau2 = (window.times[-1] + tau) - mid.times[-1]
-        _, y_hat = bdf_step(rhs, mid, tau2, variable_weights(mid, tau2), cfg)
+        _, y_hat = bdf_step(rhs, mid, tau2, *step_weights(mid, tau2), cfg)
         out[branch] = y_hat[0]
     assert abs(out["plus"] - out["minus"].conjugate()) < 1e-12
     assert abs(out["plus"].real - out["minus"].real) < 1e-12
@@ -279,9 +361,9 @@ def test_composed_step_matches_reference_substeps(rng, p):
             continue
         _, out = composed_step(rhs, window, tau, setup, cfg)
         tau1 = setup.alpha1 * tau
-        mid, y_half = bdf_step(rhs, window, tau1, variable_weights(window, tau1), cfg)
+        mid, y_half = bdf_step(rhs, window, tau1, *step_weights(window, tau1), cfg)
         tau2 = (window.times[-1] + tau) - mid.times[-1]
-        _, y_hat = bdf_step(rhs, mid, tau2, variable_weights(mid, tau2), cfg)
+        _, y_hat = bdf_step(rhs, mid, tau2, *step_weights(mid, tau2), cfg)
         assert np.max(np.abs(out.intermediate - y_half)) <= 1e-12 * np.max(np.abs(y_half))
         assert np.max(np.abs(out.y_hat - y_hat)) <= 1e-12 * np.max(np.abs(y_hat))
         checked += 1
@@ -347,6 +429,16 @@ def test_stage_equivalence(rng):
                 assert len(got) == len(ref) == p + 1
                 scale = max(1.0, max(abs(v) for v in ref))
                 assert max(abs(a - b) for a, b in zip(got, ref)) <= 1e-9 * scale
+            # the predictor weights, built in units of the step, are those
+            # of the sub-steps' own nodes on a shifted and scaled time axis
+            t0, tau = 2.5, 0.03
+            real = tuple(t0 + tau * t for t in times)
+            mid = t0 + tau * s.alpha1
+            for got, ref in ((s.predictor1, predictor_weights(real, mid)),
+                             (s.predictor2, predictor_weights(real[1:] + (mid,), t0 + tau))):
+                assert len(got) == len(ref) == p
+                scale = max(abs(v) for v in ref)
+                assert max(abs(a - b) for a, b in zip(got, ref)) <= 1e-9 * scale
 
 
 def test_root_condition_equivalence(rng):
@@ -396,4 +488,4 @@ def test_degenerate_imaginary_part():
 
     # a real fraction makes every stage weight real: no imaginary part to scale
     with pytest.raises(DegenerateImaginaryPart):
-        error_constant(0.3 + 0j, (0.0,))
+        error_constant_at(0.3 + 0j, (0.0,))
