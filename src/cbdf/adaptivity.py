@@ -8,7 +8,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bdf_core import DRIVER_SOLVE_CFG
 from .composition import build_setup, composed_step, ratios_from_window, solve_alpha1
 from .errors import NoAdmissibleRoot, NoConvergence
 from .problems import ODEProblem, bootstrap
@@ -158,8 +157,11 @@ def adaptive_drive(
     clamps the controller is the raw rescale rule (growth capped at x10
     when the estimate is zero), which can demand an inadmissible ratio and
     raise NoAdmissibleRoot. The history starts from the exact solution;
-    a run that needs more than 500,000 steps raises NoConvergence.
+    a run that needs more than 500,000 steps raises NoConvergence. A p
+    other than ``ctl.p``, or a tau0 not positive and finite, raises ValueError.
     """
+    if p != ctl.p:
+        raise ValueError(f"base order {p} differs from the controller's order {ctl.p}")
     t_end = problem.t_end
     window = bootstrap(problem, p, tau0, policy="exact")
     tau = float(tau0)
@@ -169,7 +171,7 @@ def adaptive_drive(
         if t >= t_end - 1e-14 * max(1.0, abs(t_end)):
             return rec
         setup = build_setup(ratios_from_window(window, tau))
-        window, out = composed_step(problem.rhs, window, tau, setup, DRIVER_SOLVE_CFG)
+        window, out = composed_step(problem.rhs, window, tau, setup)
         t = window.times[-1].real
         rec.times.append(t)
         rec.states.append(out.y_real.copy())

@@ -1,15 +1,15 @@
-"""Backward-difference coefficient generation and the implicit one-step flow.
+"""Backward-difference coefficient generation and the implicit one-step solve.
 
-The implicit step takes its weights from its caller as plain tuples: the
-step weights ``(g_0, g_1..g_p)`` and the predictor weights that
-extrapolate the window's history to the new node. ``coeff_fixed`` and
+The implicit step returns the state at one new node, and a caller that
+keeps the node shifts its window. Its weights come from the caller as
+plain tuples: the step weights ``(g_0, g_1..g_p)`` and the predictor
+weights that extrapolate the window to the new node. ``coeff_fixed`` and
 ``predictor_weights`` give both for a uniform grid, and a composed step
-passes the two sets of each that its ``CompositionSetup`` carries. It
-solves the resulting nonlinear equation by a fixed-point sweep, started
-from the predictor, while each sweep gains at least a digit. A slower or
-diverging sweep hands over to a simplified Newton that builds one
-finite-difference Jacobian and one factorization per solve, refreshing
-them once if an increment fails to shrink.
+passes the two sets of each that its ``CompositionSetup`` carries. A
+fixed-point sweep from the predictor runs while each sweep gains a
+digit; a slower or diverging one hands over to a simplified Newton that
+builds one finite-difference Jacobian and one factorization per solve,
+refreshing them once if an increment fails to shrink.
 ``coeff_variable`` builds the weight tuple of any distinct, possibly
 complex, node set from divided-difference products; it is the reference
 the closed forms are checked against, and no step calls it.
@@ -92,22 +92,19 @@ class HistoryWindow:
 class ImplicitSolveConfig:
     """Stopping rule and iteration budget for the implicit solve.
 
-    The fixed-point sweep gets ``max_iterations - max_iterations // 2`` of
-    the budget and the simplified Newton the rest.
+    Newton gets ``max(1, max_iterations // 2)`` iterations and the sweep
+    the rest, but at least one: one each at ``max_iterations = 1``. Every
+    production step uses the defaults.
     """
 
-    tol: float = 1e-12
-    max_iterations: int = 100
+    tol: float = 1e-13
+    max_iterations: int = 200
 
     def __post_init__(self):
         if not self.tol > 0:
             raise ValueError("tol must be positive")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
-
-
-# the solve settings of every production driver: fixed-grid runs and adaptive_drive
-DRIVER_SOLVE_CFG = ImplicitSolveConfig(tol=1e-13, max_iterations=200)
 
 
 def coeff_fixed(p: int) -> tuple:
@@ -207,26 +204,22 @@ def g_closed_form(eps: Sequence[complex]) -> tuple:
     return tuple(weights)
 
 
-def _residual(g0, hist, tau, rhs, t_new, y):
-    return g0 * y + hist - tau * np.asarray(rhs(t_new, y), dtype=complex)
-
-
-def _inverse_jacobian(g0, hist, tau, rhs, t_new, y, res):
-    """Invert the finite-difference Jacobian of the residual at ``y``."""
+def _inverse_jacobian(residual, y, res):
+    """Invert the finite-difference Jacobian of ``residual`` at ``y``."""
     d = y.shape[0]
     jac = np.empty((d, d), dtype=complex)
     for i in range(d):
         h = 1e-7 * (1.0 + abs(y[i]))
         yp = y.copy()
         yp[i] += h
-        jac[:, i] = (_residual(g0, hist, tau, rhs, t_new, yp) - res) / h
+        jac[:, i] = (residual(yp) - res) / h
     try:
         return solve_dense(jac, np.eye(d))
     except SingularMatrix as exc:
         raise SingularJacobian(str(exc)) from exc
 
 
-def _newton(g0, hist, tau, rhs, t_new, y0, cfg: ImplicitSolveConfig, budget: int):
+def _newton(residual, y0, tol: float, budget: int, t_new: complex):
     """Simplified Newton: one Jacobian and one factorization for the solve.
 
     Each iteration costs one residual and one mat-vec. The first increment
@@ -234,8 +227,8 @@ def _newton(g0, hist, tau, rhs, t_new, y0, cfg: ImplicitSolveConfig, budget: int
     iterate; a second failure or an exhausted budget raises NoConvergence.
     """
     y = np.array(y0, dtype=complex)
-    res = _residual(g0, hist, tau, rhs, t_new, y)
-    inv = _inverse_jacobian(g0, hist, tau, rhs, t_new, y, res)
+    res = residual(y)
+    inv = _inverse_jacobian(residual, y, res)
     refreshed = False
     prev_size = math.inf
     for _ in range(budget):
@@ -245,14 +238,14 @@ def _newton(g0, hist, tau, rhs, t_new, y0, cfg: ImplicitSolveConfig, budget: int
             if refreshed:
                 break
             refreshed = True
-            inv = _inverse_jacobian(g0, hist, tau, rhs, t_new, y, res)
+            inv = _inverse_jacobian(residual, y, res)
             delta = inv @ res
             size = float(np.abs(delta).max())
         y = y - delta
-        if size < cfg.tol:
+        if size < tol:
             return y
         prev_size = size
-        res = _residual(g0, hist, tau, rhs, t_new, y)
+        res = residual(y)
     raise NoConvergence(f"newton did not converge in {budget} iterations at t={t_new}")
 
 
@@ -263,19 +256,19 @@ def bdf_step(
     weights: Sequence[complex],
     predictor: Sequence[complex],
     cfg: ImplicitSolveConfig = ImplicitSolveConfig(),
-) -> tuple:
-    """Advance the window by one implicit step of size ``tau``.
+) -> np.ndarray:
+    """Solve one implicit step of size ``tau`` past the window.
 
     ``weights`` are ``(g_0, g_1..g_p)`` for the window's nodes and the target
     ``window.times[-1] + tau``: ``g_0`` multiplies the unknown and ``g_j``
     the j-th newest history state, as ``coeff_fixed`` returns them.
     ``predictor`` holds the ``predictor_weights`` of the window's nodes at
-    the target, oldest first. Returns ``(new_window, y_new)`` where
-    ``new_window`` is the input shifted by one node. The fixed-point sweep
-    starts from the predictor, the window's interpolating polynomial
-    extrapolated to the target; once a sweep contracts by less than a
-    factor of ten, or diverges, the solve restarts from the predictor with
-    a simplified Newton.
+    the target, oldest first. Returns the ``[d]`` complex state at the
+    target; the window is left unchanged. The fixed-point sweep starts
+    from the predictor, the window's interpolating polynomial extrapolated
+    to the target; once a sweep contracts by less than a factor of ten, or
+    diverges, the solve restarts from the predictor with a simplified
+    Newton.
     """
     if len(weights) != window.p + 1:
         raise ValueError(f"need {window.p + 1} weights for {window.p} nodes, got {len(weights)}")
@@ -301,11 +294,14 @@ def bdf_step(
             if not math.isfinite(step):
                 break
             if step < cfg.tol:
-                return window.advanced(t_new, y_new), y_new
+                return y_new
             # a sweep that gains less than one digit hands over to Newton
             if prev_step is not None and step > 0.1 * prev_step:
                 break
             prev_step = step
             y = y_new
-    y = _newton(g0, hist, tau, rhs, t_new, y_start, cfg, newton_budget)
-    return window.advanced(t_new, y), y
+
+    def residual(y):
+        return g0 * y + hist - tau * np.asarray(rhs(t_new, y), dtype=complex)
+
+    return _newton(residual, y_start, cfg.tol, newton_budget, t_new)

@@ -17,7 +17,7 @@ import time
 import numpy as np
 
 from . import adaptivity, composition, problems, stability
-from .bdf_core import DRIVER_SOLVE_CFG, bdf_step, coeff_fixed, predictor_weights
+from .bdf_core import bdf_step, coeff_fixed, predictor_weights
 from .errors import CbdfError, NoAdmissibleRoot, UnknownProblem
 from .polyroot import find_roots
 from .problems import bootstrap
@@ -38,30 +38,30 @@ def integrate_fixed(problem, scheme: str, p: int, tau: float) -> dict:
     """Fixed-step run with exact bootstrap; returns {step index: error}.
 
     The composed scheme of base order p carries p history points and has
-    order p + 1.
+    order p + 1. A step ``tau`` that is not positive and finite, or that
+    leaves fewer than p steps on the interval, raises ValueError.
     """
     if scheme not in ("bdf", "composed"):
         raise ValueError(f"unknown scheme {scheme!r}")
     window = bootstrap(problem, p, tau, policy="exact")
+    n_total = round((problem.t_end - problem.t0) / tau)
+    if n_total < p:
+        raise ValueError(f"tau {tau!r} gives {n_total} steps, fewer than the order {p}")
     # a uniform grid has one ratio ladder, so one setup or weight set serves every step
     if scheme == "bdf":
         weights = coeff_fixed(p)
         predictor = predictor_weights(tuple(range(1 - p, 1)), 1.0)
     else:
         setup = composition.build_setup(composition.ratios_from_window(window, tau))
-    n_total = round((problem.t_end - problem.t0) / tau)
     errors = {}
     for n in range(p, n_total + 1):
         if scheme == "bdf":
-            window, y = bdf_step(problem.rhs, window, tau, weights, predictor, DRIVER_SOLVE_CFG)
-            y_real = y.real
+            y = bdf_step(problem.rhs, window, tau, weights, predictor)
+            window = window.advanced(window.times[-1] + tau, y)
         else:
-            window, out = composition.composed_step(
-                problem.rhs, window, tau, setup, DRIVER_SOLVE_CFG
-            )
-            y_real = out.y_real
+            window, _ = composition.composed_step(problem.rhs, window, tau, setup)
         t_n = window.times[-1].real
-        errors[n] = float(np.max(np.abs(problem.exact(t_n) - y_real)))
+        errors[n] = float(np.max(np.abs(problem.exact(t_n) - window.states[-1].real)))
     return errors
 
 
@@ -77,9 +77,8 @@ def run_convergence(problem, scheme: str, p_list, tau_list, out_path) -> list:
     for p in p_list:
         errs = []
         for tau in tau_list:
-            n_total = round((problem.t_end - problem.t0) / tau)
-            e = global_error(integrate_fixed(problem, scheme, p, tau), p, n_total)
-            errs.append(e)
+            fixed = integrate_fixed(problem, scheme, p, tau)
+            errs.append(global_error(fixed, p, max(fixed)))
         slope = float(np.polyfit(np.log(tau_list), np.log(errs), 1)[0])
         for tau, e in zip(tau_list, errs):
             rows.append((scheme, p, tau, e, slope))
@@ -114,8 +113,9 @@ def run_bench(problem, p_list, tau_list, out_path, repetitions: int = 3) -> list
         if p < 2:
             raise ValueError("bench compares equal orders; needs p >= 2")
         for tau in tau_list:
-            n_total = round((problem.t_end - problem.t0) / tau)
-            err_b = global_error(integrate_fixed(problem, "bdf", p, tau), p, n_total)
+            fixed_b = integrate_fixed(problem, "bdf", p, tau)
+            n_total = max(fixed_b)
+            err_b = global_error(fixed_b, p, n_total)
             err_c = global_error(integrate_fixed(problem, "composed", p - 1, tau), p - 1, n_total)
             cpu_b = _timed(lambda: integrate_fixed(problem, "bdf", p, tau), repetitions)
             cpu_c = _timed(lambda: integrate_fixed(problem, "composed", p - 1, tau), repetitions)

@@ -327,18 +327,16 @@ def composed_step(
         raise ValueError(f"setup for {setup.p} nodes, window holds {window.p}")
     tau = float(tau)
     t_last = window.times[-1]
-    mid_window, y_half = bdf_step(rhs, window, setup.alpha1 * tau, setup.g,
-                                  setup.predictor1, cfg)
-    _, y_hat = bdf_step(rhs, mid_window, (t_last + tau) - mid_window.times[-1],
-                        setup.G[: setup.p + 1], setup.predictor2, cfg)
+    y_half = bdf_step(rhs, window, setup.alpha1 * tau, setup.g, setup.predictor1, cfg)
+    mid_window = window.advanced(t_last + setup.alpha1 * tau, y_half)
+    y_hat = bdf_step(rhs, mid_window, (t_last + tau) - mid_window.times[-1],
+                     setup.G[: setup.p + 1], setup.predictor2, cfg)
     y_real = y_hat.real.copy()
     raw = y_hat.imag.copy()
-    out_window = window.advanced(t_last + tau, y_real)
-    output = ComposedStepOutput(
+    return window.advanced(t_last + tau, y_real), ComposedStepOutput(
         y_hat=y_hat,
         y_real=y_real,
         error_estimate_raw=raw,
         error_estimate=abs(setup.error_constant) * float(np.max(np.abs(raw))),
         intermediate=y_half,
     )
-    return out_window, output

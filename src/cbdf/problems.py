@@ -176,13 +176,15 @@ def from_record(record: dict) -> ODEProblem:
 
 
 def bootstrap(problem: ODEProblem, p: int, tau: float, policy: str = "exact") -> HistoryWindow:
-    """Length-p startup window on the uniform grid t0 + j*tau.
+    """Length-p startup window on the uniform grid t0 + j*tau, tau positive and finite.
 
     exact    sample the problem's exact solution (raises without one)
     cascade  build each new point with composed flows of growing base order,
              sub-stepped so the startup error shrinks one power faster than
              the target scheme needs
     """
+    if not 0 < tau < math.inf:
+        raise ValueError(f"tau must be positive and finite, got {tau!r}")
     if policy == "exact":
         if problem.exact is None:
             raise MissingExactSolution(f"problem {problem.name!r} has no exact solution")
@@ -193,7 +195,7 @@ def bootstrap(problem: ODEProblem, p: int, tau: float, policy: str = "exact") ->
     # local import breaks the cycle
     from .composition import build_setup, composed_step, ratios_from_window
 
-    cfg = ImplicitSolveConfig(tol=1e-14, max_iterations=200)
+    cfg = ImplicitSolveConfig(tol=1e-14)
     ts = [problem.t0]
     ys = [problem.y0.astype(complex)]
     for j in range(1, p):

@@ -131,6 +131,18 @@ def test_step_budget_exhaustion_is_a_solver_failure(monkeypatch, tmp_path):
     assert main(argv) == 3
 
 
+@pytest.mark.parametrize("tau0", [0.0, -0.05, float("nan"), float("inf")])
+def test_adaptive_drive_rejects_bad_first_step(tau0):
+    with pytest.raises(ValueError, match="tau"):
+        adaptive_drive(builtin("cubic_decay"), 2, tau0, StepController(p=2, tol=1e-6))
+
+
+@pytest.mark.parametrize("p, ctl_p", [(2, 4), (4, 1)])
+def test_adaptive_drive_rejects_controller_of_other_order(p, ctl_p):
+    with pytest.raises(ValueError, match="controller"):
+        adaptive_drive(builtin("cubic_decay"), p, 0.05, StepController(p=ctl_p, tol=1e-6))
+
+
 def test_adaptive_reaches_final_time():
     prob = builtin("cubic_decay")
     ctl = StepController(p=2, tol=1e-6)

@@ -177,15 +177,15 @@ def test_start_value_reproduces_polynomials(p, seed):
 
 def test_bdf_step_implicit_euler_linear():
     window = HistoryWindow((0.0,), (np.array([1.0 + 0j]),))
-    _, y = bdf_step(lambda t, y: -y, window, 0.1, *step_weights(window, 0.1),
-                    ImplicitSolveConfig(tol=1e-14))
+    y = bdf_step(lambda t, y: -y, window, 0.1, *step_weights(window, 0.1),
+                 ImplicitSolveConfig(tol=1e-14))
     assert abs(y[0] - 1.0 / 1.1) < 1e-13
 
 
 def test_bdf_step_two_point_linear():
     window = HistoryWindow((0.0, 0.1), (np.array([1.0 + 0j]), np.array([0.905 + 0j])))
-    _, y = bdf_step(lambda t, y: -y, window, 0.1, *step_weights(window, 0.1),
-                    ImplicitSolveConfig(tol=1e-14))
+    y = bdf_step(lambda t, y: -y, window, 0.1, *step_weights(window, 0.1),
+                 ImplicitSolveConfig(tol=1e-14))
     expect = (2 * 0.905 - 0.5 * 1.0) / (1.5 + 0.1)
     assert abs(y[0] - expect) < 1e-13
 
@@ -201,8 +201,8 @@ def test_bdf_step_cubic_vs_bisection():
             hi = mid
     root = 0.5 * (lo + hi)
     window = HistoryWindow((0.0,), (np.array([1.0 + 0j]),))
-    _, y = bdf_step(lambda t, y: -(y**3), window, 0.1, *step_weights(window, 0.1),
-                    ImplicitSolveConfig(tol=1e-14))
+    y = bdf_step(lambda t, y: -(y**3), window, 0.1, *step_weights(window, 0.1),
+                 ImplicitSolveConfig(tol=1e-14))
     assert abs(y[0] - root) < 1e-12
 
 
@@ -215,12 +215,13 @@ def test_bdf_step_rejects_weights_of_other_order():
         bdf_step(lambda t, y: -y, window, 0.1, weights, predictor + (0j,))
 
 
-def test_bdf_step_window_shift():
-    window = HistoryWindow((0.0, 1.0), (np.array([1.0 + 0j]), np.array([2.0 + 0j])))
-    new, y = bdf_step(lambda t, y: 0 * y, window, 1.0, *step_weights(window, 1.0),
-                      ImplicitSolveConfig(tol=1e-14))
-    assert new.times == (1.0, 2.0)
-    assert np.allclose(new.states[-1], y)
+def test_bdf_step_returns_state_and_keeps_window():
+    window = HistoryWindow((0.0, 1.0), (np.array([1.0, 5.0]), np.array([2.0, 7.0])))
+    states = window.states
+    y = bdf_step(lambda t, y: 0 * y, window, 1.0, *step_weights(window, 1.0))
+    assert y.shape == (2,) and y.dtype == complex
+    assert window.times == (0.0, 1.0) and window.states is states
+    assert np.array_equal(window.states, [[1.0, 5.0], [2.0, 7.0]])
 
 
 def test_bdf_step_residual_contract(rng):
@@ -230,7 +231,7 @@ def test_bdf_step_residual_contract(rng):
         states = tuple(np.array([np.exp(-t) + 0j]) for t in times)
         window = HistoryWindow(times, states)
         tau = 0.1
-        new, y = bdf_step(lambda t, y: -y, window, tau, *step_weights(window, tau), cfg)
+        y = bdf_step(lambda t, y: -y, window, tau, *step_weights(window, tau), cfg)
         c = coeff_variable(times, times[-1] + tau)
         res = c[0] * y + sum(
             c[i] * states[p - i] for i in range(1, p + 1)
@@ -243,7 +244,7 @@ def test_fixed_point_contraction_converges():
     # to Newton, which must still converge within the budget
     window = HistoryWindow((0.0, 0.5), (np.array([1.0 + 0j]), np.array([0.6 + 0j])))
     cfg = ImplicitSolveConfig(tol=1e-13, max_iterations=80)
-    _, y = bdf_step(lambda t, y: -1.2 * y, window, 0.5, *step_weights(window, 0.5), cfg)
+    y = bdf_step(lambda t, y: -1.2 * y, window, 0.5, *step_weights(window, 0.5), cfg)
     assert np.isfinite(y).all()
 
 
@@ -275,7 +276,7 @@ def test_newton_solves_cubic(monkeypatch):
     monkeypatch.setattr(cbdf.bdf_core, "solve_dense", counted)
     window = HistoryWindow((0.0,), (np.array([1.0 + 0j]),))
     cfg = ImplicitSolveConfig(tol=1e-13, max_iterations=60)
-    _, y = bdf_step(lambda t, y: -(y**3), window, 0.1, *step_weights(window, 0.1), cfg)
+    y = bdf_step(lambda t, y: -(y**3), window, 0.1, *step_weights(window, 0.1), cfg)
     assert abs(y[0] ** 3 * 0.1 + y[0] - 1.0) < 1e-11
     assert len(factorizations) == 1
 
@@ -318,7 +319,7 @@ def test_fixed_point_stays_in_contraction_regime(monkeypatch):
 
     window = HistoryWindow((0.0, 0.5), (np.array([1.0 + 0j]), np.array([0.6 + 0j])))
     cfg = ImplicitSolveConfig(tol=1e-13, max_iterations=100)
-    _, y = bdf_step(rhs, window, 0.5, *step_weights(window, 0.5), cfg)
+    y = bdf_step(rhs, window, 0.5, *step_weights(window, 0.5), cfg)
     c = coeff_variable((0.0, 0.5), 1.0)
     expect = -(c[1] * 0.6 + c[2] * 1.0) / (c[0] + 0.2 * 0.5)
     assert abs(y[0] - expect) < 1e-12
@@ -347,7 +348,7 @@ def test_bdf_step_linear_closed_form(p, log_ratio, angle, seed):
     scale = np.abs(expect).max()
     cfg = ImplicitSolveConfig(tol=1e-14 * scale)
     predictor = predictor_weights(window.times, float(p))
-    _, y = bdf_step(lambda t, y: z * y, window, 1.0, weights, predictor, cfg)
+    y = bdf_step(lambda t, y: z * y, window, 1.0, weights, predictor, cfg)
     assert np.abs(y - expect).max() <= 1e-12 * scale
 
 

@@ -133,6 +133,27 @@ def test_integrate_fixed_rejects_unknown_scheme():
         integrate_fixed(builtin("cubic_decay"), "rk4", 3, 0.5)
 
 
+@pytest.mark.parametrize("tau", [0.0, -0.1, float("nan"), float("inf"), 2.0])
+def test_integrate_fixed_rejects_bad_step(tau):
+    # 2.0 overshoots [0, 1] before the first step of order 3
+    with pytest.raises(ValueError, match="tau"):
+        integrate_fixed(builtin("cubic_decay"), "bdf", 3, tau)
+
+
+@pytest.mark.parametrize("argv", [
+    ["converge", "--scheme", "bdf", "--p", "2", "--taus", "0"],
+    ["converge", "--scheme", "bdf", "--p", "1", "--taus", "-0.1"],
+    ["converge", "--scheme", "composed", "--p", "3", "--taus", "2.0"],
+    ["bench", "--p", "2", "--taus", "0"],
+    ["adaptive", "--p", "1", "--tol", "1e-6", "--tau0", "0"],
+    ["adaptive", "--p", "1", "--tol", "1e-6", "--tau0", "nan"],
+])
+def test_bad_step_exits_2(tmp_path, capsys, argv):
+    argv = argv[:1] + ["--problem", "cubic_decay", "--out", str(tmp_path / "x.csv")] + argv[1:]
+    assert main(argv) == 2
+    assert "tau" in capsys.readouterr().err
+
+
 def test_bad_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

@@ -305,6 +305,24 @@ def test_composed_step_forwards_real_window():
     assert np.allclose(out.y_real + 1j * out.error_estimate_raw, out.y_hat)
 
 
+def test_composed_step_shifts_two_windows(monkeypatch):
+    # one shift for the intermediate window, one for the forwarded window
+    shifts = []
+    advanced = HistoryWindow.advanced
+
+    def counted(self, t_new, y_new):
+        shifts.append(t_new)
+        return advanced(self, t_new, y_new)
+
+    monkeypatch.setattr(HistoryWindow, "advanced", counted)
+    window = window_cubic(3, 0.1)
+    setup = build_setup(ratios_from_window(window, 0.1))
+    new, _ = composed_step(lambda t, y: -(y**3), window, 0.1, setup)
+    assert len(shifts) == 2
+    assert shifts[0] == window.times[-1] + setup.alpha1 * 0.1
+    assert new.times[-1] == shifts[1]
+
+
 def test_composed_step_rejects_setup_of_other_order():
     window = window_cubic(2, 0.1)
     with pytest.raises(ValueError, match="nodes"):
@@ -335,9 +353,10 @@ def test_conjugate_branch_conjugates_output():
     a1 = solve_alpha1(uniform_ratios(p))
     out = {}
     for branch, a in (("plus", a1), ("minus", a1.conjugate())):
-        mid, _ = bdf_step(rhs, window, a * tau, *step_weights(window, a * tau), cfg)
+        y_mid = bdf_step(rhs, window, a * tau, *step_weights(window, a * tau), cfg)
+        mid = window.advanced(window.times[-1] + a * tau, y_mid)
         tau2 = (window.times[-1] + tau) - mid.times[-1]
-        _, y_hat = bdf_step(rhs, mid, tau2, *step_weights(mid, tau2), cfg)
+        y_hat = bdf_step(rhs, mid, tau2, *step_weights(mid, tau2), cfg)
         out[branch] = y_hat[0]
     assert abs(out["plus"] - out["minus"].conjugate()) < 1e-12
     assert abs(out["plus"].real - out["minus"].real) < 1e-12
@@ -361,9 +380,10 @@ def test_composed_step_matches_reference_substeps(rng, p):
             continue
         _, out = composed_step(rhs, window, tau, setup, cfg)
         tau1 = setup.alpha1 * tau
-        mid, y_half = bdf_step(rhs, window, tau1, *step_weights(window, tau1), cfg)
+        y_half = bdf_step(rhs, window, tau1, *step_weights(window, tau1), cfg)
+        mid = window.advanced(window.times[-1] + tau1, y_half)
         tau2 = (window.times[-1] + tau) - mid.times[-1]
-        _, y_hat = bdf_step(rhs, mid, tau2, *step_weights(mid, tau2), cfg)
+        y_hat = bdf_step(rhs, mid, tau2, *step_weights(mid, tau2), cfg)
         assert np.max(np.abs(out.intermediate - y_half)) <= 1e-12 * np.max(np.abs(y_half))
         assert np.max(np.abs(out.y_hat - y_hat)) <= 1e-12 * np.max(np.abs(y_hat))
         checked += 1
