@@ -36,7 +36,6 @@ from .polyroot import find_roots, solve_dense
 from .problems import ODEProblem, bootstrap, builtin, lambert_w
 from .stability import (
     StabilityRegion,
-    is_stable_point,
     region_raster,
     region_to_csv,
     region_to_pbm,
@@ -67,7 +66,6 @@ __all__ = [
     "composed_step",
     "StabilityRegion",
     "theta_coefficients",
-    "is_stable_point",
     "region_raster",
     "stability_angle",
     "region_to_csv",

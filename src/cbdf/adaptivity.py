@@ -174,7 +174,7 @@ def adaptive_drive(
         window, out = composed_step(problem.rhs, window, tau, setup)
         t = window.times[-1].real
         rec.times.append(t)
-        rec.states.append(out.y_real.copy())
+        rec.states.append(out.y_real)
         rec.error_estimates.append(out.error_estimate)
         rec.alpha1s.append(setup.alpha1)
         rec.taus.append(tau)

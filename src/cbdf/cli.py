@@ -4,7 +4,8 @@ Subcommands reproduce the study artifacts as CSV/PBM files: sub-step root
 candidates, convergence sweeps, error/CPU benchmarks, stability rasters and
 angles, admissible-ratio bounds, and adaptive traces.
 
-Exit codes: 0 success, 2 bad arguments, 3 solver failure.
+Exit codes: 0 success; 2 bad arguments, including an order out of range
+and a file that cannot be read or written; 3 solver failure.
 """
 from __future__ import annotations
 
@@ -17,8 +18,8 @@ import time
 import numpy as np
 
 from . import adaptivity, composition, problems, stability
-from .bdf_core import bdf_step, coeff_fixed, predictor_weights
-from .errors import CbdfError, NoAdmissibleRoot, UnknownProblem
+from .bdf_core import MAX_ORDER, bdf_step, coeff_fixed, predictor_weights
+from .errors import CbdfError, NoAdmissibleRoot, OrderOutOfRange, UnknownProblem
 from .polyroot import find_roots
 from .problems import bootstrap
 
@@ -72,7 +73,9 @@ def global_error(errors: dict, start: int, n_total: int) -> float:
 
 
 def run_convergence(problem, scheme: str, p_list, tau_list, out_path) -> list:
-    """Global-error sweep with per-order least-squares slopes."""
+    """Global-error sweep with per-order least-squares slopes over two or more distinct steps."""
+    if len(set(tau_list)) < 2:
+        raise ValueError(f"a slope needs at least 2 distinct taus, got {tau_list}")
     rows = []
     for p in p_list:
         errs = []
@@ -82,26 +85,25 @@ def run_convergence(problem, scheme: str, p_list, tau_list, out_path) -> list:
         slope = float(np.polyfit(np.log(tau_list), np.log(errs), 1)[0])
         for tau, e in zip(tau_list, errs):
             rows.append((scheme, p, tau, e, slope))
-    if out_path:
-        with open(out_path, "w", newline="") as fh:
-            fh.write("scheme,p,tau,global_error,slope\n")
-            for scheme_, p, tau, e, slope in rows:
-                fh.write(f"{scheme_},{p},{_fmt(tau)},{_fmt(e)},{_fmt(slope)}\n")
+    with open(out_path, "w", newline="") as fh:
+        fh.write("scheme,p,tau,global_error,slope\n")
+        for scheme_, p, tau, e, slope in rows:
+            fh.write(f"{scheme_},{p},{_fmt(tau)},{_fmt(e)},{_fmt(slope)}\n")
     return rows
 
 
-def _timed(fn, repetitions: int = 3) -> float:
-    """Median wall-clock seconds over ``repetitions``, one discarded warmup."""
+def _timed(fn) -> float:
+    """Median wall-clock seconds over three runs, after one discarded warmup."""
     fn()
     samples = []
-    for _ in range(repetitions):
+    for _ in range(3):
         t0 = time.perf_counter()
         fn()
         samples.append(time.perf_counter() - t0)
     return statistics.median(samples)
 
 
-def run_bench(problem, p_list, tau_list, out_path, repetitions: int = 3) -> list:
+def run_bench(problem, p_list, tau_list, out_path) -> list:
     """Error and CPU ratios: base-order-p scheme vs the equal-order composed flow.
 
     The composed flow of order p uses base order p - 1, so both sides have
@@ -117,27 +119,27 @@ def run_bench(problem, p_list, tau_list, out_path, repetitions: int = 3) -> list
             n_total = max(fixed_b)
             err_b = global_error(fixed_b, p, n_total)
             err_c = global_error(integrate_fixed(problem, "composed", p - 1, tau), p - 1, n_total)
-            cpu_b = _timed(lambda: integrate_fixed(problem, "bdf", p, tau), repetitions)
-            cpu_c = _timed(lambda: integrate_fixed(problem, "composed", p - 1, tau), repetitions)
+            cpu_b = _timed(lambda: integrate_fixed(problem, "bdf", p, tau))
+            cpu_c = _timed(lambda: integrate_fixed(problem, "composed", p - 1, tau))
             rows.append((p, tau, err_b, err_c, err_b / err_c, cpu_b, cpu_c, cpu_b / cpu_c))
-    if out_path:
-        with open(out_path, "w", newline="") as fh:
-            fh.write("p,tau,err_bdf,err_composed,ratio_err,cpu_bdf,cpu_composed,ratio_cpu\n")
-            for p, tau, eb, ec, re_, cb, cc, rc in rows:
-                fh.write(
-                    f"{p},{_fmt(tau)},{_fmt(eb)},{_fmt(ec)},{_fmt(re_)},"
-                    f"{_fmt(cb)},{_fmt(cc)},{_fmt(rc)}\n"
-                )
+    with open(out_path, "w", newline="") as fh:
+        fh.write("p,tau,err_bdf,err_composed,ratio_err,cpu_bdf,cpu_composed,ratio_cpu\n")
+        for p, tau, eb, ec, re_, cb, cc, rc in rows:
+            fh.write(
+                f"{p},{_fmt(tau)},{_fmt(eb)},{_fmt(ec)},{_fmt(re_)},"
+                f"{_fmt(cb)},{_fmt(cc)},{_fmt(rc)}\n"
+            )
     return rows
 
 
-def run_roots(p: int, ratios=None, stream=None) -> complex:
+def run_roots(p: int, ratios=None) -> complex:
     """Print every sub-step root candidate and mark the selected branch.
 
     When no candidate has a positive real part, all roots are still listed
-    and no branch is marked.
+    and no branch is marked. A base order outside 1..8 raises ValueError.
     """
-    stream = stream if stream is not None else sys.stdout
+    if not 1 <= p <= MAX_ORDER:
+        raise ValueError(f"base order must be in 1..{MAX_ORDER}, got {p}")
     if ratios is None:
         full = tuple(float(j - 1) for j in range(1, p + 1))
     else:
@@ -150,29 +152,28 @@ def run_roots(p: int, ratios=None, stream=None) -> complex:
         selected = composition.solve_alpha1(full)
     except NoAdmissibleRoot:
         selected = None
-    stream.write(f"sub-step root candidates, base order {p}, ratios {full}\n")
-    stream.write("re_alpha1,im_alpha1,residual,selected\n")
+    print(f"sub-step root candidates, base order {p}, ratios {full}")
+    print("re_alpha1,im_alpha1,residual,selected")
     for z in roots:
         if z.real > 0:
             res = abs(composition.G_coefficients(z, full)[-1])
         else:
             res = abs(np.polynomial.polynomial.polyval(z, poly))
         mark = "*" if selected is not None and abs(z - selected) < 1e-13 * (1 + abs(z)) else ""
-        stream.write(f"{_fmt(z.real)},{_fmt(z.imag)},{_fmt(res)},{mark}\n")
+        print(f"{_fmt(z.real)},{_fmt(z.imag)},{_fmt(res)},{mark}")
     return selected
 
 
-def run_stability(order: int, scheme: str, args, stream=None) -> None:
-    stream = stream if stream is not None else sys.stdout
+def run_stability(args) -> None:
     if args.angle:
-        angle = stability.stability_angle(order, scheme=scheme)
-        stream.write(f"{angle:.3f}\n")
+        print(f"{stability.stability_angle(args.order, scheme=args.scheme):.3f}")
         return
     needed = [args.xmin, args.xmax, args.ymin, args.ymax, args.nx, args.ny, args.out]
     if any(v is None for v in needed):
         raise ValueError("raster mode needs --xmin --xmax --ymin --ymax --nx --ny --out")
     region = stability.region_raster(
-        order, (args.xmin, args.xmax, args.ymin, args.ymax), args.nx, args.ny, scheme=scheme
+        args.order, (args.xmin, args.xmax, args.ymin, args.ymax), args.nx, args.ny,
+        scheme=args.scheme,
     )
     if args.out.endswith(".csv"):
         stability.region_to_csv(region, args.out)
@@ -180,13 +181,6 @@ def run_stability(order: int, scheme: str, args, stream=None) -> None:
         stability.region_to_pbm(region, args.out)
     else:
         raise ValueError("--out must end in .csv or .pbm")
-
-
-def run_adaptive(problem, p: int, tol: float, tau0: float, clamps: bool, out_path) -> None:
-    ctl = adaptivity.StepController(p=p, tol=tol)
-    rec = adaptivity.adaptive_drive(problem, p, tau0, ctl, clamps=clamps)
-    if out_path:
-        rec.write_csv(out_path, problem.exact)
 
 
 def _int_list(text: str):
@@ -255,16 +249,17 @@ def main(argv=None) -> int:
         elif args.subcommand == "bench":
             run_bench(_load_problem(args.problem), args.p, args.taus, args.out)
         elif args.subcommand == "stability":
-            run_stability(args.order, args.scheme, args)
+            run_stability(args)
         elif args.subcommand == "bounds":
             mode = "first-step" if args.mode == "first" else "steady"
             print(f"{adaptivity.min_ratio(args.p, mode):.4f}")
         elif args.subcommand == "adaptive":
-            run_adaptive(
-                _load_problem(args.problem), args.p, args.tol, args.tau0,
-                clamps=not args.no_clamps, out_path=args.out,
-            )
-    except (UnknownProblem, ValueError) as exc:
+            problem = _load_problem(args.problem)
+            ctl = adaptivity.StepController(p=args.p, tol=args.tol)
+            rec = adaptivity.adaptive_drive(problem, args.p, args.tau0, ctl,
+                                            clamps=not args.no_clamps)
+            rec.write_csv(args.out, problem.exact)
+    except (UnknownProblem, OrderOutOfRange, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CbdfError as exc:

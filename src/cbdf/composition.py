@@ -42,7 +42,6 @@ class CompositionSetup:
     p: int
     ratios: tuple
     alpha1: complex
-    alpha2: complex
     eps: tuple
     g: tuple  # first-stage weights g_0..g_p, for the offsets eps
     G: tuple  # second-stage weights G_0..G_{p+1}; G_0..G_p drive the second sub-step
@@ -51,11 +50,9 @@ class CompositionSetup:
     predictor2: tuple  # ... and of the second, whose newest node is the intermediate one
 
     def __post_init__(self):
-        if self.alpha1 + self.alpha2 != 1.0:
-            raise ValueError("alpha1 + alpha2 must equal 1 as the stored pair")
         if not self.alpha1.real > 0:
             raise ValueError("alpha1 must have positive real part")
-        cond = self.eps[-1] * self.alpha1**2 + self.g[0] * self.alpha2**2
+        cond = self.eps[-1] * self.alpha1**2 + self.g[0] * (1.0 - self.alpha1) ** 2
         if abs(cond) > 1e-9:
             raise ValueError(f"root condition violated: |residual| = {abs(cond):.3e}")
         if abs(sum(self.G)) > 1e-10 or abs(self.G[-1]) > 1e-9:
@@ -64,9 +61,8 @@ class CompositionSetup:
 
 @dataclass(frozen=True)
 class ComposedStepOutput:
-    """Result of one composed step."""
+    """Result of one composed step; the complex result is y_real + 1j*error_estimate_raw."""
 
-    y_hat: np.ndarray
     y_real: np.ndarray
     error_estimate_raw: np.ndarray
     error_estimate: float
@@ -296,7 +292,6 @@ def build_setup(ratios: Sequence[complex]) -> CompositionSetup:
         p=len(r),
         ratios=r,
         alpha1=alpha1,
-        alpha2=1.0 - alpha1,
         eps=eps,
         g=g,
         G=G,
@@ -316,9 +311,9 @@ def composed_step(
     """One composed step: two base sub-steps with complex fractions.
 
     Returns ``(new_window, output)``. The forwarded window carries the real
-    part of the composed result at the real node t_{n-1} + tau; the full
-    complex result and the intermediate state ride along in the output
-    record. ``setup`` holds the constants for the window's step ratios,
+    part of the composed result at the real node t_{n-1} + tau; the output
+    record holds that real part, the imaginary part and the intermediate
+    state. ``setup`` holds the constants for the window's step ratios,
     ``build_setup(ratios_from_window(window, tau))``, including both sub-steps'
     weights and predictors; raises ValueError when its node count differs
     from the window's.
@@ -334,7 +329,6 @@ def composed_step(
     y_real = y_hat.real.copy()
     raw = y_hat.imag.copy()
     return window.advanced(t_last + tau, y_real), ComposedStepOutput(
-        y_hat=y_hat,
         y_real=y_real,
         error_estimate_raw=raw,
         error_estimate=abs(setup.error_constant) * float(np.max(np.abs(raw))),

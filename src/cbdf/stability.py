@@ -26,16 +26,8 @@ _THETA_TOL = 0.05
 class StabilityRegion:
     """Boolean raster of a scheme's stability over a z-plane rectangle."""
 
-    p: int  # scheme order as labeled in outputs (composed order, or BDF order)
-    scheme: str
     bounds: tuple  # (xmin, xmax, ymin, ymax)
-    nx: int
-    ny: int
     mask: np.ndarray  # [nx, ny], True = stable
-
-    def __post_init__(self):
-        if self.mask.shape != (self.nx, self.ny):
-            raise ValueError("mask shape must be (nx, ny)")
 
 
 @lru_cache(maxsize=None)
@@ -111,12 +103,6 @@ def _stable_mask(rows: np.ndarray) -> np.ndarray:
     return out
 
 
-def is_stable_point(order: int, z: complex, scheme: str = "composed") -> bool:
-    """True iff every recurrence root at this z has magnitude <= 1 + 1e-9."""
-    rows = _char_rows(order, np.array([z]), scheme)
-    return bool(_stable_mask(rows)[0])
-
-
 def region_raster(
     order: int,
     bounds: tuple,
@@ -135,13 +121,13 @@ def region_raster(
     zz = xs[:, None] + 1j * ys[None, :]
     rows = _char_rows(order, zz.ravel(), scheme)
     mask = _stable_mask(rows).reshape(nx, ny)
-    return StabilityRegion(order, scheme, (xmin, xmax, ymin, ymax), nx, ny, mask)
+    return StabilityRegion((xmin, xmax, ymin, ymax), mask)
 
 
-def _rays_stable(order: int, scheme: str, theta_deg: float, radii: np.ndarray) -> bool:
+def _rays_stable(order: int, scheme: str, theta_deg: float) -> bool:
     th = math.radians(theta_deg)
     for sign in (1.0, -1.0):
-        z = radii * np.exp(1j * (math.pi + sign * th))
+        z = _RAY_RADII * np.exp(1j * (math.pi + sign * th))
         rows = _char_rows(order, z, scheme)
         if not _stable_mask(rows).all():
             return False
@@ -155,15 +141,14 @@ def stability_angle(order: int, scheme: str = "composed") -> float:
     in [1e-3, 1e3] on both boundary rays. Raises EmptySector when even a
     vanishing half-angle fails.
     """
-    radii = _RAY_RADII
-    if not _rays_stable(order, scheme, 1e-4, radii):
+    if not _rays_stable(order, scheme, 1e-4):
         raise EmptySector(f"{scheme} order {order} is unstable on the negative real axis")
-    if _rays_stable(order, scheme, 90.0, radii):
+    if _rays_stable(order, scheme, 90.0):
         return 90.0
     lo, hi = 0.0, 90.0
     while hi - lo > _THETA_TOL:
         mid = 0.5 * (lo + hi)
-        if _rays_stable(order, scheme, mid, radii):
+        if _rays_stable(order, scheme, mid):
             lo = mid
         else:
             hi = mid
@@ -173,21 +158,23 @@ def stability_angle(order: int, scheme: str = "composed") -> float:
 def region_to_csv(region: StabilityRegion, path) -> None:
     """Rows `re_z,im_z,stable(0|1)`, top raster row (max Im) first."""
     xmin, xmax, ymin, ymax = region.bounds
-    dx = (xmax - xmin) / region.nx
-    dy = (ymax - ymin) / region.ny
+    nx, ny = region.mask.shape
+    dx = (xmax - xmin) / nx
+    dy = (ymax - ymin) / ny
     with open(path, "w", newline="") as fh:
         fh.write("re_z,im_z,stable\n")
-        for iy in range(region.ny - 1, -1, -1):
+        for iy in range(ny - 1, -1, -1):
             im = ymin + (iy + 0.5) * dy
-            for ix in range(region.nx):
+            for ix in range(nx):
                 re = xmin + (ix + 0.5) * dx
                 fh.write(f"{re:.16e},{im:.16e},{int(region.mask[ix, iy])}\n")
 
 
 def region_to_pbm(region: StabilityRegion, path) -> None:
     """Plain-text P1 bitmap, one raster row per line, top row = max Im, 1 = stable."""
+    nx, ny = region.mask.shape
     with open(path, "w", newline="") as fh:
         fh.write("P1\n")
-        fh.write(f"{region.nx} {region.ny}\n")
-        for iy in range(region.ny - 1, -1, -1):
-            fh.write(" ".join(str(int(region.mask[ix, iy])) for ix in range(region.nx)) + "\n")
+        fh.write(f"{nx} {ny}\n")
+        for iy in range(ny - 1, -1, -1):
+            fh.write(" ".join(str(int(region.mask[ix, iy])) for ix in range(nx)) + "\n")

@@ -1,4 +1,5 @@
 """CLI surface: subcommands, file formats, exit codes, determinism."""
+import ast
 import json
 import os
 import re
@@ -147,11 +148,32 @@ def test_integrate_fixed_rejects_bad_step(tau):
     ["bench", "--p", "2", "--taus", "0"],
     ["adaptive", "--p", "1", "--tol", "1e-6", "--tau0", "0"],
     ["adaptive", "--p", "1", "--tol", "1e-6", "--tau0", "nan"],
+    # one distinct step leaves the least-squares slope undetermined
+    ["converge", "--scheme", "bdf", "--p", "2", "--taus", "0.1"],
+    ["converge", "--scheme", "bdf", "--p", "2", "--taus", "0.1,0.1"],
 ])
 def test_bad_step_exits_2(tmp_path, capsys, argv):
     argv = argv[:1] + ["--problem", "cubic_decay", "--out", str(tmp_path / "x.csv")] + argv[1:]
     assert main(argv) == 2
     assert "tau" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["roots", "--p", "0"],
+    ["roots", "--p", "-1"],
+    ["roots", "--p", "9"],
+    ["stability", "--order", "10", "--angle"],
+    ["stability", "--order", "7", "--scheme", "bdf", "--angle"],
+    ["adaptive", "--problem", "{tmp}/missing.json", "--p", "2", "--tol", "1e-6",
+     "--tau0", "0.05", "--out", "{tmp}/t.csv"],
+    ["converge", "--problem", "cubic_decay", "--scheme", "bdf", "--p", "2",
+     "--taus", "0.1,0.05", "--out", "{tmp}/no/such/dir/x.csv"],
+])
+def test_bad_argument_exits_2(tmp_path, capsys, argv):
+    # an order out of range or an unreadable or unwritable file is a bad
+    # argument, not a solver failure or a traceback
+    assert main([a.format(tmp=tmp_path) for a in argv]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_bad_subcommand_exits_2(capsys):
@@ -221,6 +243,39 @@ def test_public_names_resolve():
     code = ("from cbdf import *; import cbdf; "
             "print(sorted(n for n in cbdf.__all__ if n not in globals()))")
     assert _fresh_python(code) == "[]"
+
+
+def _referenced_names(path) -> set:
+    """Names that code in ``path`` reads, binds by import, or takes as attributes."""
+    names = set()
+    for node in ast.walk(ast.parse(Path(path).read_text())):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+            if node.level and node.module:
+                names.add(node.module)  # ``from .errors import X`` reads ``errors``
+    return names
+
+
+def test_public_names_have_a_reader():
+    # every exported name is read by code in a cbdf module other than the
+    # package's __init__, or is imported by the acceptance suite; a mention
+    # in a docstring or a definition alone does not count
+    import cbdf
+
+    package = Path(cbdf.__file__).resolve().parent
+    read = set()
+    for path in package.glob("*.py"):
+        if path.name != "__init__.py":
+            read |= _referenced_names(path)
+    acceptance = Path(__file__).resolve().parent / "test_acceptance.py"
+    for node in ast.walk(ast.parse(acceptance.read_text())):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("cbdf"):
+            read.update(alias.name for alias in node.names)
+    assert sorted(set(cbdf.__all__) - read) == []
 
 
 def test_readme_quick_start_runs():
