@@ -171,16 +171,17 @@ def run_stability(args) -> None:
     needed = [args.xmin, args.xmax, args.ymin, args.ymax, args.nx, args.ny, args.out]
     if any(v is None for v in needed):
         raise ValueError("raster mode needs --xmin --xmax --ymin --ymax --nx --ny --out")
+    if args.out.endswith(".csv"):
+        write = stability.region_to_csv
+    elif args.out.endswith(".pbm"):
+        write = stability.region_to_pbm
+    else:
+        raise ValueError("--out must end in .csv or .pbm")
     region = stability.region_raster(
         args.order, (args.xmin, args.xmax, args.ymin, args.ymax), args.nx, args.ny,
         scheme=args.scheme,
     )
-    if args.out.endswith(".csv"):
-        stability.region_to_csv(region, args.out)
-    elif args.out.endswith(".pbm"):
-        stability.region_to_pbm(region, args.out)
-    else:
-        raise ValueError("--out must end in .csv or .pbm")
+    write(region, args.out)
 
 
 def _int_list(text: str):

@@ -2,8 +2,8 @@
 scaled eigenvalue z, rasterized stability regions, and sector angles.
 
 A point is stable when no root of the one-step recurrence polynomial has
-magnitude above 1 + 1e-9. Points are classified by the Schur-Cohn
-recursion on the polynomial's coefficients, with no roots computed.
+magnitude above 1 + 1e-9. A Schur-Cohn recursion classifies points with no
+roots computed, on a coefficient-major array: each pass runs along the points.
 """
 from __future__ import annotations
 
@@ -84,20 +84,22 @@ def _stable_mask(rows: np.ndarray) -> np.ndarray:
     the unit disk. A degree-k polynomial a_0 + ... + a_k w^k has that
     property iff |a_0| < |a_k| and the degree k - 1 polynomial
     (conj(a_k) a - a_0 conj(reversed a)) / w has it too, so k = n..1 takes
-    n vectorised passes over the batch and computes no roots.
+    n passes, each along the points of a coefficient-major [k + 1, N] array.
     """
-    scale = np.max(np.abs(rows), axis=1)
+    a = np.ascontiguousarray(rows.T[::-1])
+    scale = np.max(np.abs(a), axis=0)
     # a vanishing leading coefficient means an escaping root: unstable; a
     # non-finite row fails this test too (nan scale or infinite threshold)
-    regular = np.abs(rows[:, 0]) > 1e-13 * np.maximum(scale, 1e-300)
-    n = rows.shape[1] - 1
-    a = rows[regular, ::-1] * (1.0 + _ABS_TOL) ** np.arange(n + 1)
-    stable = np.ones(a.shape[0], dtype=bool)
-    for k in range(n, 0, -1):
-        a0, ak = a[:, :1], a[:, k:]
-        stable &= np.abs(a0[:, 0]) < np.abs(ak[:, 0])
-        a = (np.conj(ak) * a - a0 * np.conj(a[:, ::-1]))[:, 1:]
-        a /= np.maximum(np.max(np.abs(a), axis=1, keepdims=True), 1e-300)
+    regular = np.abs(a[-1]) > 1e-13 * np.maximum(scale, 1e-300)
+    a = np.compress(regular, a, axis=1)
+    a *= ((1.0 + _ABS_TOL) ** np.arange(len(a)))[:, None]
+    stable = np.ones(a.shape[1], dtype=bool)
+    for k in range(len(a) - 1, 0, -1):
+        a0, ak = a[0], a[k]
+        stable &= np.abs(a0) < np.abs(ak)
+        a, tail = np.conj(ak) * a[1:], np.conj(a[-2::-1])
+        a -= np.multiply(a0, tail, out=tail)  # a0 first: FMA rounds by operand order
+        a /= np.maximum(np.max(np.abs(a), axis=0), 1e-300)
     out = np.zeros(rows.shape[0], dtype=bool)
     out[regular] = stable
     return out
@@ -116,6 +118,8 @@ def region_raster(
     xmin, xmax, ymin, ymax = (float(v) for v in bounds)
     dx = (xmax - xmin) / nx
     dy = (ymax - ymin) / ny
+    if not (0.0 < dx < math.inf and 0.0 < dy < math.inf):  # false on nan too
+        raise ValueError(f"need finite bounds and spans, xmin < xmax, ymin < ymax; got {bounds!r}")
     xs = xmin + (np.arange(nx) + 0.5) * dx
     ys = ymin + (np.arange(ny) + 0.5) * dy
     zz = xs[:, None] + 1j * ys[None, :]
@@ -126,20 +130,16 @@ def region_raster(
 
 def _rays_stable(order: int, scheme: str, theta_deg: float) -> bool:
     th = math.radians(theta_deg)
-    for sign in (1.0, -1.0):
-        z = _RAY_RADII * np.exp(1j * (math.pi + sign * th))
-        rows = _char_rows(order, z, scheme)
-        if not _stable_mask(rows).all():
-            return False
-    return True
+    z = np.concatenate([_RAY_RADII * np.exp(1j * (math.pi + s * th)) for s in (1.0, -1.0)])
+    return bool(_stable_mask(_char_rows(order, z, scheme)).all())
 
 
 def stability_angle(order: int, scheme: str = "composed") -> float:
     """Largest sector half-angle (degrees) whose boundary rays stay stable.
 
-    Bisection on the angle to 0.05 degrees, sampling 200 log-spaced radii
-    in [1e-3, 1e3] on both boundary rays. Raises EmptySector when even a
-    vanishing half-angle fails.
+    Bisection on the angle to 0.05 degrees; each probe classifies 200
+    log-spaced radii in [1e-3, 1e3] on both boundary rays in one batch.
+    Raises EmptySector when even a vanishing half-angle fails.
     """
     if not _rays_stable(order, scheme, 1e-4):
         raise EmptySector(f"{scheme} order {order} is unstable on the negative real axis")

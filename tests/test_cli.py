@@ -94,6 +94,31 @@ def test_stability_raster_files(tmp_path):
     assert main(base + ["--out", str(tmp_path / "reg.txt")]) == 2
 
 
+@pytest.mark.parametrize("window", [
+    ["--xmin", "nan", "--xmax", "1", "--ymin", "-1", "--ymax", "1"],
+    ["--xmin", "1", "--xmax", "-1", "--ymin", "-1", "--ymax", "1"],
+    ["--xmin", "-1", "--xmax", "inf", "--ymin", "-1", "--ymax", "1"],
+    ["--xmin", "-1", "--xmax", "1", "--ymin", "1", "--ymax", "1"],
+])
+def test_stability_raster_bad_bounds_exit_2(tmp_path, capsys, window):
+    out = tmp_path / "reg.csv"
+    argv = ["stability", "--order", "3", *window, "--nx", "3", "--ny", "3", "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: need finite bounds")
+    assert not out.exists()
+
+
+def test_stability_raster_checks_suffix_before_computing(tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("raster computed before the output suffix was checked")
+
+    monkeypatch.setattr("cbdf.stability.region_raster", refuse)
+    argv = ["stability", "--order", "3", "--xmin", "-1", "--xmax", "1", "--ymin", "-1",
+            "--ymax", "1", "--nx", "3", "--ny", "3", "--out", str(tmp_path / "reg.txt")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: --out must end in .csv or .pbm\n"
+
+
 def test_bounds_output(capsys):
     code, out, _ = run_cli(capsys, "bounds", "--p", "2", "--mode", "first")
     assert code == 0

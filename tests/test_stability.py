@@ -10,6 +10,7 @@ from cbdf.bdf_core import coeff_variable
 from cbdf.composition import solve_alpha1
 from cbdf.errors import EmptySector
 from cbdf.stability import (
+    _RAY_RADII,
     _char_rows,
     _rays_stable,
     _stable_mask,
@@ -111,12 +112,59 @@ def test_stable_mask_nonfinite_rows_unstable():
     assert _stable_mask(rows).tolist() == [True, False, False, False]
 
 
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    scheme_order=_SCHEME_ORDERS,
+    points=st.lists(
+        st.tuples(_Z, st.sampled_from(("regular", "vanishing", "nan", "inf")), st.integers(0, 9)),
+        min_size=1,
+        max_size=64,
+    ),
+)
+def test_stable_mask_batch_equals_rows_alone(scheme_order, points):
+    # the coefficient-major layout must not couple the points of a batch
+    scheme, order = scheme_order
+    rows = _char_rows(order, np.array([z for z, _, _ in points]), scheme)
+    for row, (_, kind, col) in zip(rows, points):
+        if kind == "vanishing":
+            row[0] = 1e-16 * np.max(np.abs(row))
+        elif kind != "regular":
+            row[col % row.size] = complex(np.nan if kind == "nan" else np.inf)
+    alone = [_stable_mask(rows[i : i + 1])[0] for i in range(len(rows))]
+    assert _stable_mask(rows).tolist() == alone
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(scheme_order=_SCHEME_ORDERS, theta=st.floats(1e-4, 90.0))
+def test_rays_stable_is_both_single_rays(scheme_order, theta):
+    scheme, order = scheme_order
+    th = math.radians(theta)
+    single = [
+        _stable_mask(_char_rows(order, _RAY_RADII * np.exp(1j * (math.pi + s * th)), scheme)).all()
+        for s in (1.0, -1.0)
+    ]
+    assert _rays_stable(order, scheme, theta) == all(single)
+
+
 def test_raster_matches_pointwise():
     region = region_raster(3, (-1.0, 1.0, -1.0, 1.0), 2, 2)
     for ix, x in enumerate((-0.5, 0.5)):
         for iy, y in enumerate((-0.5, 0.5)):
             assert region.mask[ix, iy] == _stable_at(3, complex(x, y))
     assert region.mask.any() and not region.mask.all()
+
+
+@pytest.mark.parametrize("bounds", [
+    (float("nan"), 1.0, -1.0, 1.0),
+    (-1.0, 1.0, -1.0, float("inf")),
+    (float("-inf"), float("inf"), -1.0, 1.0),
+    (-1e308, 1e308, -1.0, 1.0),  # finite bounds whose span overflows
+    (1.0, -1.0, -1.0, 1.0),
+    (-1.0, 1.0, 0.5, 0.5),
+])
+def test_raster_rejects_bad_bounds(bounds):
+    with pytest.raises(ValueError, match="need finite bounds"):
+        region_raster(3, bounds, 2, 2)
 
 
 def test_raster_left_half_plane_composed2():
