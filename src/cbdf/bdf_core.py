@@ -1,15 +1,16 @@
 """Backward-difference coefficient generation and the implicit one-step solve.
 
-The implicit step returns the state at one new node, and a caller that
-keeps the node shifts its window. Its weights come from the caller as
-plain tuples: the step weights ``(g_0, g_1..g_p)`` and the predictor
-weights that extrapolate the window to the new node. ``coeff_fixed`` and
-``predictor_weights`` give both for a uniform grid, and a composed step
-passes the two sets of each that its ``CompositionSetup`` carries. A
-fixed-point sweep from the predictor runs while each sweep gains a
-digit; a slower or diverging one hands over to a simplified Newton that
-builds one finite-difference Jacobian and one factorization per solve,
-refreshing them once if an increment fails to shrink.
+The implicit step returns the state at one new node and the slope there,
+and a caller that keeps the node shifts its window, slope included. Its
+weights come from the caller: the step weights ``(g_0, g_1..g_p)`` and
+the predictor weights that extrapolate the window, states and newest
+slope, to the new node. ``coeff_fixed`` and ``predictor_weights`` give
+both for a uniform grid, and a composed step passes the two sets of each
+that its ``CompositionSetup`` carries as arrays. A fixed-point sweep from
+the predictor runs while each sweep gains a digit; a slower or diverging
+one hands over to a simplified Newton that builds one finite-difference
+Jacobian and one factorization per solve, refreshing them once if an
+increment fails to shrink.
 ``coeff_variable`` builds the weight tuple of any distinct, possibly
 complex, node set from divided-difference products; it is the reference
 the closed forms are checked against, and no step calls it.
@@ -19,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -40,14 +41,18 @@ RhsFunction = Callable[[complex, np.ndarray], np.ndarray]
 
 @dataclass(frozen=True, eq=False)
 class HistoryWindow:
-    """p time nodes with their p state vectors, oldest first.
+    """p time nodes with their p state vectors, oldest first, and the newest slope.
 
     ``states`` is one read-only ``[p, d]`` complex array; the constructor
-    copies whatever sequence of states it is given.
+    copies whatever sequence of states it is given. ``slope`` is the
+    derivative ``f(times[-1], states[-1])``, a ``[d]`` complex array, or
+    None when the window does not know it; a step from a window without
+    one evaluates it with one RHS call.
     """
 
     times: tuple
     states: np.ndarray
+    slope: Optional[np.ndarray] = None
 
     def __post_init__(self):
         times = tuple(complex(t) for t in self.times)
@@ -67,24 +72,32 @@ class HistoryWindow:
         states.setflags(write=False)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "states", states)
+        if self.slope is not None:
+            slope = np.array(self.slope, dtype=complex)
+            if slope.shape != rows[0].shape:
+                raise ValueError("slope must have the shape of a state")
+            slope.setflags(write=False)
+            object.__setattr__(self, "slope", slope)
 
     @property
     def p(self) -> int:
         return len(self.times)
 
-    def advanced(self, t_new: complex, y_new) -> "HistoryWindow":
+    def advanced(self, t_new: complex, y_new, slope=None) -> "HistoryWindow":
         """Drop the oldest node and append (t_new, y_new), in a fresh array.
 
-        Skips re-validation: shifting a valid window by a forward node
-        preserves every invariant.
+        ``slope`` is the derivative at the new node, or None. Skips
+        re-validation: shifting a valid window by a forward node preserves
+        every invariant.
         """
-        states = np.empty(self.states.shape, dtype=complex)
+        states = self.states.copy()
         states[:-1] = self.states[1:]
         states[-1] = y_new
         states.setflags(write=False)
         win = object.__new__(HistoryWindow)
         object.__setattr__(win, "times", self.times[1:] + (complex(t_new),))
         object.__setattr__(win, "states", states)
+        object.__setattr__(win, "slope", slope)
         return win
 
 
@@ -121,19 +134,36 @@ def coeff_fixed(p: int) -> tuple:
 
 
 def predictor_weights(times: Sequence[complex], t_new: complex) -> tuple:
-    """Lagrange weights, oldest node first, of the degree p - 1 interpolant at ``t_new``.
+    """Weights of the degree-p extrapolant at ``t_new``: p state weights, then one slope weight.
 
-    Applied to a window's states they extrapolate its history to the new
-    node; the weights depend only on the nodes' relative positions, so a
-    caller may pass the nodes in units of the step.
+    The extrapolant is the polynomial through the p states, oldest node
+    first, whose derivative at the newest node is the window's slope. The
+    state weights multiply the states; the slope weight multiplies the
+    slope times the step ``h = t_new - times[-1]``. The weights depend only
+    on the nodes' relative positions, so a caller may pass the nodes in
+    units of the step. ``t_new`` must differ from every node.
     """
+    last = len(times) - 1
+    t_last = times[last]
+    h = t_new - t_last
     weights = []
-    for j, tj in enumerate(times):
-        c = 1.0 + 0j
+    for j in range(last):
+        tj = times[j]
+        # the Lagrange weight of t_j on the nodes with the newest one doubled
+        c = h / (tj - t_last)
         for k, tk in enumerate(times):
             if k != j:
                 c *= (t_new - tk) / (tj - tk)
         weights.append(c)
+    # the newest value and the slope share the newest node's Lagrange weight
+    lagrange_last = 1.0 + 0j
+    recip = 0j
+    for tk in times[:last]:
+        d = t_last - tk
+        lagrange_last *= (t_new - tk) / d
+        recip += 1.0 / d
+    weights.append(lagrange_last * (1.0 - h * recip))
+    weights.append(lagrange_last)
     return tuple(weights)
 
 
@@ -186,11 +216,11 @@ def g_closed_form(eps: Sequence[complex]) -> tuple:
     ratios. Matches the dense solve of the moment system for distinct,
     nonzero offsets.
     """
-    eps = tuple(complex(e) for e in eps)
-    tol = 1e-14 * max(1.0, max(abs(e) for e in eps))
-    if any(abs(e) <= tol for e in eps):
+    eps = tuple(map(complex, eps))
+    tol = 1e-14 * max(1.0, max(map(abs, eps)))
+    if any([abs(e) <= tol for e in eps]):
         raise DuplicateEps("offsets must be nonzero")
-    weights = [sum(1.0 / e for e in eps)]
+    weights = [sum([1.0 / e for e in eps])]
     sign = (-1) ** len(eps)
     for i, ei in enumerate(eps):
         prod = 1.0 + 0j
@@ -256,31 +286,41 @@ def bdf_step(
     weights: Sequence[complex],
     predictor: Sequence[complex],
     cfg: ImplicitSolveConfig = ImplicitSolveConfig(),
-) -> np.ndarray:
+) -> tuple:
     """Solve one implicit step of size ``tau`` past the window.
 
     ``weights`` are ``(g_0, g_1..g_p)`` for the window's nodes and the target
     ``window.times[-1] + tau``: ``g_0`` multiplies the unknown and ``g_j``
     the j-th newest history state, as ``coeff_fixed`` returns them.
     ``predictor`` holds the ``predictor_weights`` of the window's nodes at
-    the target, oldest first. Returns the ``[d]`` complex state at the
-    target; the window is left unchanged. The fixed-point sweep starts
-    from the predictor, the window's interpolating polynomial extrapolated
-    to the target; once a sweep contracts by less than a factor of ten, or
-    diverges, the solve restarts from the predictor with a simplified
-    Newton.
+    the target. Either may be an array, which the step reads as it is, or a
+    sequence, which it converts. Returns ``(y, slope)``: the ``[d]`` complex
+    state at the target and ``f(target, y)``; the window is left unchanged.
+    A window without a slope gets it from one RHS call at its newest node.
+    The fixed-point sweep starts from the predictor, the window's degree-p
+    extrapolant at the target, and its last RHS value is the slope; once a
+    sweep contracts by less than a factor of ten, or diverges, the solve
+    restarts from the predictor with a simplified Newton, whose slope
+    ``(g_0 y + hist) / tau`` follows from the step's own equation.
     """
-    if len(weights) != window.p + 1:
-        raise ValueError(f"need {window.p + 1} weights for {window.p} nodes, got {len(weights)}")
-    if len(predictor) != window.p:
-        raise ValueError(f"need {window.p} predictor weights, got {len(predictor)}")
+    p = len(window.times)
+    if len(weights) != p + 1:
+        raise ValueError(f"need {p + 1} weights for {p} nodes, got {len(weights)}")
+    if len(predictor) != p + 1:
+        raise ValueError(f"need {p + 1} predictor weights, got {len(predictor)}")
     tau = complex(tau)
-    t_new = window.times[-1] + tau
-    if not t_new.real > window.times[-1].real:
+    t_last = window.times[-1]
+    t_new = t_last + tau
+    if not t_new.real > t_last.real:
         raise ValueError("step must advance the real part of time")
+    weights = np.asarray(weights)
+    predictor = np.asarray(predictor)
+    slope = window.slope
+    if slope is None:
+        slope = rhs(t_last, window.states[-1])
     g0 = weights[0]
-    hist = np.dot(weights[:0:-1], window.states)
-    y_start = np.dot(predictor, window.states)
+    hist = weights[:0:-1] @ window.states
+    y_start = predictor[:-1] @ window.states + (predictor[-1] * tau) * slope
 
     # each sweep is y <- (tau f(y) - hist) / g0, with both quotients taken once
     tau_g0, hist_g0 = tau / g0, hist / g0
@@ -289,12 +329,13 @@ def bdf_step(
     prev_step = None
     with np.errstate(all="ignore"):
         for _ in range(max(1, cfg.max_iterations - newton_budget)):
-            y_new = tau_g0 * rhs(t_new, y) - hist_g0
+            f = rhs(t_new, y)
+            y_new = tau_g0 * f - hist_g0
             step = float(np.abs(y_new - y).max())
             if not math.isfinite(step):
                 break
             if step < cfg.tol:
-                return y_new
+                return y_new, np.array(f, dtype=complex)
             # a sweep that gains less than one digit hands over to Newton
             if prev_step is not None and step > 0.1 * prev_step:
                 break
@@ -304,4 +345,5 @@ def bdf_step(
     def residual(y):
         return g0 * y + hist - tau * np.asarray(rhs(t_new, y), dtype=complex)
 
-    return _newton(residual, y_start, cfg.tol, newton_budget, t_new)
+    y = _newton(residual, y_start, cfg.tol, newton_budget, t_new)
+    return y, (y + hist_g0) / tau_g0

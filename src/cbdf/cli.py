@@ -40,7 +40,8 @@ def integrate_fixed(problem, scheme: str, p: int, tau: float) -> dict:
 
     The composed scheme of base order p carries p history points and has
     order p + 1. A step ``tau`` that is not positive and finite, or that
-    leaves fewer than p steps on the interval, raises ValueError.
+    leaves fewer than p steps on the interval, raises ValueError. The
+    errors are taken in one pass after the last step.
     """
     if scheme not in ("bdf", "composed"):
         raise ValueError(f"unknown scheme {scheme!r}")
@@ -50,20 +51,23 @@ def integrate_fixed(problem, scheme: str, p: int, tau: float) -> dict:
         raise ValueError(f"tau {tau!r} gives {n_total} steps, fewer than the order {p}")
     # a uniform grid has one ratio ladder, so one setup or weight set serves every step
     if scheme == "bdf":
-        weights = coeff_fixed(p)
-        predictor = predictor_weights(tuple(range(1 - p, 1)), 1.0)
+        weights = np.array(coeff_fixed(p))
+        predictor = np.array(predictor_weights(tuple(range(1 - p, 1)), 1.0))
     else:
         setup = composition.build_setup(composition.ratios_from_window(window, tau))
-    errors = {}
-    for n in range(p, n_total + 1):
+    times, states = [], []
+    for _ in range(p, n_total + 1):
         if scheme == "bdf":
-            y = bdf_step(problem.rhs, window, tau, weights, predictor)
-            window = window.advanced(window.times[-1] + tau, y)
+            y, slope = bdf_step(problem.rhs, window, tau, weights, predictor)
+            window = window.advanced(window.times[-1] + tau, y, slope)
         else:
-            window, _ = composition.composed_step(problem.rhs, window, tau, setup)
-        t_n = window.times[-1].real
-        errors[n] = float(np.max(np.abs(problem.exact(t_n) - window.states[-1].real)))
-    return errors
+            window, out = composition.composed_step(problem.rhs, window, tau, setup)
+            y = out.y_real
+        times.append(window.times[-1].real)
+        states.append(y)
+    exact = np.array([problem.exact(t) for t in times])
+    errors = np.abs(exact - np.array(states).real).max(axis=1)
+    return dict(zip(range(p, n_total + 1), errors.tolist()))
 
 
 def global_error(errors: dict, start: int, n_total: int) -> float:

@@ -6,7 +6,8 @@ The sub-step fraction is the positive-real-part root of an algebraic
 equation in the step ratios, found by a scalar Newton iteration from the
 uniform ladder's root; the second-stage weights, the error constant and
 both sub-steps' predictor weights follow from it in closed form, over
-Python scalars.
+Python scalars, and the weights the two sub-steps read are converted to
+arrays once per setup.
 """
 from __future__ import annotations
 
@@ -35,7 +36,7 @@ from .errors import (
 from .polyroot import find_roots
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CompositionSetup:
     """Everything one composed step needs, derived from the step ratios."""
 
@@ -46,8 +47,11 @@ class CompositionSetup:
     g: tuple  # first-stage weights g_0..g_p, for the offsets eps
     G: tuple  # second-stage weights G_0..G_{p+1}; G_0..G_p drive the second sub-step
     error_constant: float
-    predictor1: tuple  # predictor weights of the first sub-step, oldest node first
-    predictor2: tuple  # ... and of the second, whose newest node is the intermediate one
+    # (weights, predictor) arrays of each sub-step, as bdf_step takes them: g_0..g_p
+    # with the predictor weights of the window's nodes, then G_0..G_p with those of
+    # the intermediate window; each set is in units of its own sub-step
+    step1: tuple
+    step2: tuple
 
     def __post_init__(self):
         if not self.alpha1.real > 0:
@@ -72,20 +76,25 @@ class ComposedStepOutput:
 def ratios_from_window(window: HistoryWindow, tau: float) -> tuple:
     """Backward node distances scaled by the upcoming step: r_j = (t_{n-1} - t_{n-j}) / tau."""
     t_last = window.times[-1]
-    return tuple((t_last - window.times[window.p - j]) / tau for j in range(1, window.p + 1))
+    return tuple([(t_last - t) / tau for t in reversed(window.times)])
 
 
 def _alpha1_coeffs(r: tuple) -> list:
     """``alpha1_polynomial`` as a list of Python complex coefficients."""
     P = [1.0 + 0j]  # ascending; the elementary symmetric polynomials of r_2..r_p
     for rj in r[1:]:
-        P = [rj * P[0]] + [P[k - 1] + rj * P[k] for k in range(1, len(P))] + [P[-1]]
+        # multiply by (a + rj) in place, highest coefficient first
+        P.append(P[-1])
+        for k in range(len(P) - 2, 0, -1):
+            P[k] = P[k - 1] + rj * P[k]
+        P[0] = rj * P[0]
     poly = [0j] * (len(P) + 2)
+    r_last = r[-1]
     for k, c in enumerate(P):
         # sum_j a/(a+r_j) times prod_j (a+r_j) = aP is a (aP)', whose a^k coefficient is (k+1) P_k
         d = (k + 1) * c
         poly[k] += d
-        poly[k + 1] += r[-1] * c - 2.0 * d
+        poly[k + 1] += r_last * c - 2.0 * d
         poly[k + 2] += c + d
     return poly
 
@@ -98,7 +107,7 @@ def alpha1_polynomial(ratios: Sequence[complex]) -> np.ndarray:
     r_1 = 0) leaves (1-a)^2 (aP)' + (a^2 + r_p a) P with P = prod_{j>=2} (a+r_j),
     a polynomial of degree p+1 with leading coefficient p+1.
     """
-    return np.array(_alpha1_coeffs(tuple(complex(v) for v in ratios)))
+    return np.array(_alpha1_coeffs(tuple(map(complex, ratios))))
 
 
 def _offsets(alpha1: complex, r: tuple) -> tuple:
@@ -108,8 +117,8 @@ def _offsets(alpha1: complex, r: tuple) -> tuple:
     ``w = (1 - alpha1, 1 + r_1, .., 1 + r_p)`` the second's, the
     intermediate node first.
     """
-    return (tuple(1.0 + rv / alpha1 for rv in r),
-            (1.0 - alpha1,) + tuple(1.0 + rv for rv in r))
+    return (tuple([1.0 + rv / alpha1 for rv in r]),
+            tuple([1.0 - alpha1] + [1.0 + rv for rv in r]))
 
 
 def G_coefficients(alpha1: complex, ratios: Sequence[complex]) -> tuple:
@@ -121,13 +130,17 @@ def G_coefficients(alpha1: complex, ratios: Sequence[complex]) -> tuple:
     offsets. G_0 closes the set through the zero-sum row.
     """
     alpha1 = complex(alpha1)
-    eps, w = _offsets(alpha1, tuple(complex(v) for v in ratios))
+    return _G_from_offsets(alpha1, *_offsets(alpha1, tuple(map(complex, ratios))))
+
+
+def _G_from_offsets(alpha1: complex, eps: tuple, w: tuple) -> tuple:
+    """``G_coefficients`` from the node-offset table ``_offsets(alpha1, r)``."""
     p = len(eps)
-    g0 = sum(1.0 / e for e in eps)
+    g0 = sum([1.0 / e for e in eps])
     if abs(w[0] * g0 - alpha1) < 1e-12:
         raise DegenerateDenominator(f"|Ebar0*g0 - alpha1| = {abs(w[0]*g0 - alpha1):.3e}")
     kappa = (-alpha1) ** (p + 1) / g0 * math.prod(eps)
-    sign = (-1) ** p
+    lead = -w[0] * (-1) ** p
     raw, denom = [], []
     for i, wi in enumerate(w):
         num = 1.0 + 0j
@@ -138,7 +151,7 @@ def G_coefficients(alpha1: complex, ratios: Sequence[complex]) -> tuple:
                 den *= wi - wl
         if den == 0:
             raise DegenerateDenominator("coincident node offsets")
-        raw.append(-w[0] * sign * num / den)
+        raw.append(lead * num / den)
         denom.append(den)
     d0 = 1.0 + kappa / denom[0]
     if abs(d0) < 1e-12:
@@ -192,7 +205,8 @@ def _uniform_root(p: int) -> complex:
 
 
 def _admissible_root(r: tuple) -> tuple:
-    """``(alpha1, G_coefficients(alpha1, r))`` for the root solve_alpha1 picks.
+    """``(alpha1, eps, w, G)`` for the root solve_alpha1 picks: the root, its
+    node-offset table ``_offsets(alpha1, r)`` and ``G_coefficients(alpha1, r)``.
 
     ``r`` holds the ratios as complex numbers. On a real ladder, Newton's iteration from the uniform ladder's root is
     kept when it settles in the open upper-right quadrant and zeroes the
@@ -201,17 +215,19 @@ def _admissible_root(r: tuple) -> tuple:
     matrix and the rule of solve_alpha1 picks one.
     """
     coeffs = _alpha1_coeffs(r)
-    if all(rv.imag == 0.0 for rv in r):
+    if all([rv.imag == 0.0 for rv in r]):
         z = _newton_root(coeffs, _uniform_root(len(r)))
         if z is not None and z.real > 0.0 and z.imag > 0.0:
-            G = G_coefficients(z, r)
+            eps, w = _offsets(z, r)
+            G = _G_from_offsets(z, eps, w)
             if abs(G[-1]) <= 1e-9:
-                return z, G
+                return z, eps, w, G
     root = _companion_root(coeffs, r)
-    G = G_coefficients(root, r)
+    eps, w = _offsets(root, r)
+    G = _G_from_offsets(root, eps, w)
     if abs(G[-1]) > 1e-9:
         raise NoConvergence(f"refined root leaves |G_(p+1)| = {abs(G[-1]):.3e}")
-    return root, G
+    return root, eps, w, G
 
 
 def solve_alpha1(ratios: Sequence[complex]) -> complex:
@@ -225,7 +241,7 @@ def solve_alpha1(ratios: Sequence[complex]) -> complex:
     when every root has Re <= 0, and NoConvergence when the root leaves the
     trailing weight G_(p+1) above 1e-9.
     """
-    return _admissible_root(tuple(complex(v) for v in ratios))[0]
+    return _admissible_root(tuple(map(complex, ratios)))[0]
 
 
 _GBAR_FORMS = {
@@ -266,8 +282,8 @@ def _error_constant(alpha1: complex, w: tuple, g: tuple, G: tuple) -> float:
     Built from the second sub-step's node offsets ``w`` and both weight sets.
     """
     p = len(w) - 1
-    g0 = g[0]
-    acc = sum((G[i + 1] - G[1] / g0 * g[i]) * w[i] ** (p + 2) for i in range(p + 1))
+    G1_g0 = G[1] / g[0]
+    acc = sum([(G[i + 1] - G1_g0 * g[i]) * w[i] ** (p + 2) for i in range(p + 1)])
     acc += (p + 2) * alpha1 * w[0] ** (p + 1)
     curly = (-1) ** (p + 2) / math.factorial(p + 2) * acc
     ratio = curly / G[0]
@@ -282,22 +298,27 @@ def build_setup(ratios: Sequence[complex]) -> CompositionSetup:
     A pure function of the ratios it is given. A caller that steps on a
     uniform grid builds the setup once and passes it to every step.
     """
-    r = tuple(complex(v) for v in ratios)
-    alpha1, G = _admissible_root(r)
-    eps, w = _offsets(alpha1, r)
+    r = tuple(map(complex, ratios))
+    alpha1, eps, w, G = _admissible_root(r)
     g = g_closed_form(eps)
+    p = len(r)
     # the window's nodes in units of the step, from t_{n-1} = 0, oldest first
-    nodes = tuple(-rv for rv in reversed(r))
+    nodes = [-rv for rv in reversed(r)]
+    # one conversion: g_0..g_p, G_0..G_p and the two predictor sets, p + 1 each
+    q = p + 1
+    rows = np.array((*g, *G[:q], *predictor_weights(nodes, alpha1),
+                     *predictor_weights(nodes[1:] + [alpha1], 1.0)), dtype=complex)
+    rows.setflags(write=False)
     return CompositionSetup(
-        p=len(r),
+        p=p,
         ratios=r,
         alpha1=alpha1,
         eps=eps,
         g=g,
         G=G,
         error_constant=_error_constant(alpha1, w, g, G),
-        predictor1=predictor_weights(nodes, alpha1),
-        predictor2=predictor_weights(nodes[1:] + (alpha1,), 1.0),
+        step1=(rows[:q], rows[2 * q:3 * q]),
+        step2=(rows[q:2 * q], rows[3 * q:]),
     )
 
 
@@ -311,7 +332,8 @@ def composed_step(
     """One composed step: two base sub-steps with complex fractions.
 
     Returns ``(new_window, output)``. The forwarded window carries the real
-    part of the composed result at the real node t_{n-1} + tau; the output
+    part of the composed result at the real node t_{n-1} + tau, with the
+    real part of the second sub-step's slope as its slope; the output
     record holds that real part, the imaginary part and the intermediate
     state. ``setup`` holds the constants for the window's step ratios,
     ``build_setup(ratios_from_window(window, tau))``, including both sub-steps'
@@ -322,15 +344,16 @@ def composed_step(
         raise ValueError(f"setup for {setup.p} nodes, window holds {window.p}")
     tau = float(tau)
     t_last = window.times[-1]
-    y_half = bdf_step(rhs, window, setup.alpha1 * tau, setup.g, setup.predictor1, cfg)
-    mid_window = window.advanced(t_last + setup.alpha1 * tau, y_half)
-    y_hat = bdf_step(rhs, mid_window, (t_last + tau) - mid_window.times[-1],
-                     setup.G[: setup.p + 1], setup.predictor2, cfg)
+    tau1 = setup.alpha1 * tau
+    y_half, f_half = bdf_step(rhs, window, tau1, *setup.step1, cfg)
+    mid_window = window.advanced(t_last + tau1, y_half, f_half)
+    y_hat, f_hat = bdf_step(rhs, mid_window, (t_last + tau) - mid_window.times[-1],
+                            *setup.step2, cfg)
     y_real = y_hat.real.copy()
     raw = y_hat.imag.copy()
-    return window.advanced(t_last + tau, y_real), ComposedStepOutput(
+    return window.advanced(t_last + tau, y_real, f_hat.real), ComposedStepOutput(
         y_real=y_real,
         error_estimate_raw=raw,
-        error_estimate=abs(setup.error_constant) * float(np.max(np.abs(raw))),
+        error_estimate=abs(setup.error_constant) * float(np.abs(raw).max()),
         intermediate=y_half,
     )

@@ -198,6 +198,7 @@ def bootstrap(problem: ODEProblem, p: int, tau: float, policy: str = "exact") ->
     cfg = ImplicitSolveConfig(tol=1e-14)
     ts = [problem.t0]
     ys = [problem.y0.astype(complex)]
+    slope = None  # at the newest point, once a step has given it
     for j in range(1, p):
         base = j
         # stage j contributes error ~ n * (tau/n)^(j+2); the count must grow
@@ -205,9 +206,10 @@ def bootstrap(problem: ODEProblem, p: int, tau: float, policy: str = "exact") ->
         substeps = max(2 ** (p - 1 - j), math.ceil(tau ** (-(p - 1 - j) / (j + 1))))
         h = tau / substeps
         for _ in range(substeps):
-            win = HistoryWindow(tuple(ts[-base:]), tuple(ys[-base:]))
+            win = HistoryWindow(tuple(ts[-base:]), tuple(ys[-base:]), slope)
             setup = build_setup(ratios_from_window(win, h))
             win, out = composed_step(problem.rhs, win, h, setup, cfg)
+            slope = win.slope
             ts.append(win.times[-1].real)
             ys.append(out.y_real.astype(complex))
     coarse = [problem.t0 + j * tau for j in range(p)]

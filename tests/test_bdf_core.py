@@ -143,6 +143,17 @@ def test_window_states_are_one_read_only_copy():
     assert np.array_equal(window.states, [[1.0, 2.0], [3.0, 4.0]])
 
 
+def test_window_slope_is_a_checked_read_only_copy():
+    slope = np.array([1.0, 2.0])
+    window = HistoryWindow((0.0, 1.0), (np.zeros(2), np.ones(2)), slope)
+    slope[0] = 9.0
+    assert window.slope.dtype == complex and not window.slope.flags.writeable
+    assert np.array_equal(window.slope, [1.0, 2.0])
+    assert HistoryWindow((0.0,), (np.ones(2),)).slope is None
+    with pytest.raises(ValueError, match="slope"):
+        HistoryWindow((0.0,), (np.ones(2),), np.ones(3))
+
+
 def test_advanced_writes_a_fresh_array():
     window = HistoryWindow((0.0, 1.0), (np.array([1.0, 2.0]), np.array([3.0, 4.0])))
     before = window.states.copy()
@@ -155,36 +166,43 @@ def test_advanced_writes_a_fresh_array():
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(p=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
-def test_start_value_reproduces_polynomials(p, seed):
-    # states sampled from a polynomial of degree <= p - 1 at increasing real
-    # nodes: the predictor weights must return that polynomial at any target
+@given(p=st.integers(1, 8), complex_nodes=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_start_value_reproduces_polynomials(p, complex_nodes, seed):
+    # states sampled from a polynomial of degree <= p at distinct nodes, with
+    # its exact slope at the newest node: the p state weights and the slope
+    # weight must return that polynomial at any target
     rng = np.random.default_rng(seed)
-    times = tuple(np.cumsum(rng.uniform(0.2, 1.0, p)))
-    coeffs = rng.uniform(-1, 1, (p, 2)) + 1j * rng.uniform(-1, 1, (p, 2))
+    times = np.cumsum(rng.uniform(0.2, 1.0, p)).astype(complex)
+    if complex_nodes:
+        times += 1j * rng.uniform(-0.5, 0.5, p)
+    times = tuple(times)
+    coeffs = rng.uniform(-1, 1, (p + 1, 2)) + 1j * rng.uniform(-1, 1, (p + 1, 2))
 
     def poly(t):
         return sum(c * (t - times[-1]) ** k for k, c in enumerate(coeffs))
 
-    window = HistoryWindow(times, tuple(poly(t) for t in times))
+    window = HistoryWindow(times, tuple(poly(t) for t in times), coeffs[1])
     h = rng.uniform(0.2, 1.0)
     for t in (times[-1] + h, times[-1] + h * complex(rng.uniform(0.2, 1.0), rng.uniform(-1, 1))):
+        weights = predictor_weights(window.times, t)
+        assert len(weights) == p + 1
+        slope_term = weights[-1] * (t - window.times[-1]) * window.slope
+        got = np.dot(weights[:-1], window.states) + slope_term
         expect = poly(t)
-        scale = max(np.abs(expect).max(), np.abs(window.states).max())
-        got = np.dot(predictor_weights(window.times, t), window.states)
+        scale = max(np.abs(expect).max(), np.abs(window.states).max(), np.abs(slope_term).max())
         assert np.abs(got - expect).max() <= 1e-10 * scale
 
 
 def test_bdf_step_implicit_euler_linear():
     window = HistoryWindow((0.0,), (np.array([1.0 + 0j]),))
-    y = bdf_step(lambda t, y: -y, window, 0.1, *step_weights(window, 0.1),
+    y, _ = bdf_step(lambda t, y: -y, window, 0.1, *step_weights(window, 0.1),
                  ImplicitSolveConfig(tol=1e-14))
     assert abs(y[0] - 1.0 / 1.1) < 1e-13
 
 
 def test_bdf_step_two_point_linear():
     window = HistoryWindow((0.0, 0.1), (np.array([1.0 + 0j]), np.array([0.905 + 0j])))
-    y = bdf_step(lambda t, y: -y, window, 0.1, *step_weights(window, 0.1),
+    y, _ = bdf_step(lambda t, y: -y, window, 0.1, *step_weights(window, 0.1),
                  ImplicitSolveConfig(tol=1e-14))
     expect = (2 * 0.905 - 0.5 * 1.0) / (1.5 + 0.1)
     assert abs(y[0] - expect) < 1e-13
@@ -201,7 +219,7 @@ def test_bdf_step_cubic_vs_bisection():
             hi = mid
     root = 0.5 * (lo + hi)
     window = HistoryWindow((0.0,), (np.array([1.0 + 0j]),))
-    y = bdf_step(lambda t, y: -(y**3), window, 0.1, *step_weights(window, 0.1),
+    y, _ = bdf_step(lambda t, y: -(y**3), window, 0.1, *step_weights(window, 0.1),
                  ImplicitSolveConfig(tol=1e-14))
     assert abs(y[0] - root) < 1e-12
 
@@ -211,15 +229,17 @@ def test_bdf_step_rejects_weights_of_other_order():
     weights, predictor = step_weights(window, 0.1)
     with pytest.raises(ValueError, match="need 3 weights"):
         bdf_step(lambda t, y: -y, window, 0.1, coeff_fixed(3), predictor)
-    with pytest.raises(ValueError, match="need 2 predictor weights"):
+    assert len(predictor) == 3  # two state weights and one slope weight
+    with pytest.raises(ValueError, match="need 3 predictor weights"):
         bdf_step(lambda t, y: -y, window, 0.1, weights, predictor + (0j,))
 
 
 def test_bdf_step_returns_state_and_keeps_window():
     window = HistoryWindow((0.0, 1.0), (np.array([1.0, 5.0]), np.array([2.0, 7.0])))
     states = window.states
-    y = bdf_step(lambda t, y: 0 * y, window, 1.0, *step_weights(window, 1.0))
+    y, slope = bdf_step(lambda t, y: 0 * y, window, 1.0, *step_weights(window, 1.0))
     assert y.shape == (2,) and y.dtype == complex
+    assert slope.shape == (2,) and slope.dtype == complex
     assert window.times == (0.0, 1.0) and window.states is states
     assert np.array_equal(window.states, [[1.0, 5.0], [2.0, 7.0]])
 
@@ -231,7 +251,7 @@ def test_bdf_step_residual_contract(rng):
         states = tuple(np.array([np.exp(-t) + 0j]) for t in times)
         window = HistoryWindow(times, states)
         tau = 0.1
-        y = bdf_step(lambda t, y: -y, window, tau, *step_weights(window, tau), cfg)
+        y, _ = bdf_step(lambda t, y: -y, window, tau, *step_weights(window, tau), cfg)
         c = coeff_variable(times, times[-1] + tau)
         res = c[0] * y + sum(
             c[i] * states[p - i] for i in range(1, p + 1)
@@ -244,7 +264,7 @@ def test_fixed_point_contraction_converges():
     # to Newton, which must still converge within the budget
     window = HistoryWindow((0.0, 0.5), (np.array([1.0 + 0j]), np.array([0.6 + 0j])))
     cfg = ImplicitSolveConfig(tol=1e-13, max_iterations=80)
-    y = bdf_step(lambda t, y: -1.2 * y, window, 0.5, *step_weights(window, 0.5), cfg)
+    y, _ = bdf_step(lambda t, y: -1.2 * y, window, 0.5, *step_weights(window, 0.5), cfg)
     assert np.isfinite(y).all()
 
 
@@ -276,7 +296,7 @@ def test_newton_solves_cubic(monkeypatch):
     monkeypatch.setattr(cbdf.bdf_core, "solve_dense", counted)
     window = HistoryWindow((0.0,), (np.array([1.0 + 0j]),))
     cfg = ImplicitSolveConfig(tol=1e-13, max_iterations=60)
-    y = bdf_step(lambda t, y: -(y**3), window, 0.1, *step_weights(window, 0.1), cfg)
+    y, _ = bdf_step(lambda t, y: -(y**3), window, 0.1, *step_weights(window, 0.1), cfg)
     assert abs(y[0] ** 3 * 0.1 + y[0] - 1.0) < 1e-11
     assert len(factorizations) == 1
 
@@ -319,7 +339,7 @@ def test_fixed_point_stays_in_contraction_regime(monkeypatch):
 
     window = HistoryWindow((0.0, 0.5), (np.array([1.0 + 0j]), np.array([0.6 + 0j])))
     cfg = ImplicitSolveConfig(tol=1e-13, max_iterations=100)
-    y = bdf_step(rhs, window, 0.5, *step_weights(window, 0.5), cfg)
+    y, _ = bdf_step(rhs, window, 0.5, *step_weights(window, 0.5), cfg)
     c = coeff_variable((0.0, 0.5), 1.0)
     expect = -(c[1] * 0.6 + c[2] * 1.0) / (c[0] + 0.2 * 0.5)
     assert abs(y[0] - expect) < 1e-12
@@ -348,7 +368,7 @@ def test_bdf_step_linear_closed_form(p, log_ratio, angle, seed):
     scale = np.abs(expect).max()
     cfg = ImplicitSolveConfig(tol=1e-14 * scale)
     predictor = predictor_weights(window.times, float(p))
-    y = bdf_step(lambda t, y: z * y, window, 1.0, weights, predictor, cfg)
+    y, _ = bdf_step(lambda t, y: z * y, window, 1.0, weights, predictor, cfg)
     assert np.abs(y - expect).max() <= 1e-12 * scale
 
 
@@ -369,8 +389,10 @@ def test_fixed_grid_never_reaches_newton(monkeypatch):
 
 
 def test_composed_fixed_grid_rhs_budget(monkeypatch):
-    # started from the predictor, the order-4 sweep needs about three RHS
-    # calls per sub-step; from the newest state it needed six
+    # started from the degree-p predictor, the order-4 sweep needs about
+    # three RHS calls per sub-step (six from the newest state); the order-1
+    # sweep, over the benchmark's interval [0, 3], 4.55 (5.55 from a
+    # constant predictor)
     import cbdf.composition
     from cbdf.cli import integrate_fixed
     from cbdf.problems import ODEProblem, builtin
@@ -389,9 +411,118 @@ def test_composed_fixed_grid_rhs_budget(monkeypatch):
         return step(*args)
 
     monkeypatch.setattr(cbdf.composition, "bdf_step", counted)
-    prob = ODEProblem(rhs, base.t0, base.y0, base.t_end, base.exact, base.name)
-    assert integrate_fixed(prob, "composed", 4, 1 / 160)
-    assert calls["rhs"] <= 4 * calls["substeps"]
+    for p, t_end, bound in ((4, base.t_end, 4.0), (1, 3.0, 4.75)):
+        prob = ODEProblem(rhs, base.t0, base.y0, t_end, base.exact, base.name)
+        calls.update(rhs=0, substeps=0)
+        assert integrate_fixed(prob, "composed", p, 1 / 160)
+        assert calls["rhs"] <= bound * calls["substeps"], (p, calls)
+
+
+def _count_slope_evaluations(monkeypatch, modules):
+    """Patch ``bdf_step`` in ``modules`` and return ``(rhs wrapper, counts)``.
+
+    The wrapper counts RHS calls at the newest node of the window that the
+    running step extends: a step only evaluates there when its window has
+    no slope, since every sweep and Newton call is at the new node.
+    """
+    counts = {"slope": 0, "rhs": 0}
+    newest = [None]
+
+    def watch(step):
+        def watched(rhs, window, *args):
+            newest[0] = window.times[-1]
+            return step(rhs, window, *args)
+        return watched
+
+    for module in modules:
+        monkeypatch.setattr(module, "bdf_step", watch(module.bdf_step))
+
+    def wrap(fn):
+        def rhs(t, y):
+            counts["rhs"] += 1
+            counts["slope"] += t == newest[0]
+            return fn(t, y)
+        return rhs
+
+    return wrap, counts
+
+
+def test_one_slope_evaluation_per_run(monkeypatch):
+    # only the bootstrapped window lacks a slope: every later window, the
+    # intermediate and the forwarded one, carries the slope of the sub-step
+    # that built it; the cascade start carries it from step to step too
+    import cbdf.cli
+    import cbdf.composition
+    from cbdf import adaptivity
+    from cbdf.cli import integrate_fixed
+    from cbdf.problems import ODEProblem, bootstrap, builtin
+
+    wrap, counts = _count_slope_evaluations(monkeypatch, (cbdf.cli, cbdf.composition))
+    for name, p in (("cubic_decay", 3), ("stiff_arctan", 4)):
+        base = builtin(name)
+        prob = ODEProblem(wrap(base.rhs), base.t0, base.y0, base.t_end, base.exact, base.name)
+        for scheme in ("bdf", "composed"):
+            counts.update(slope=0, rhs=0)
+            assert integrate_fixed(prob, scheme, p, 1 / 40)
+            assert counts["slope"] == 1 and counts["rhs"] > 100, (name, scheme, counts)
+        counts.update(slope=0, rhs=0)
+        rec = adaptivity.adaptive_drive(prob, p, 0.01, adaptivity.StepController(p=p, tol=1e-8))
+        assert rec.times[-1] >= prob.t_end - 1e-12
+        assert counts["slope"] == 1 and counts["rhs"] > 100, (name, counts)
+        counts.update(slope=0, rhs=0)
+        assert bootstrap(prob, p, 0.05, policy="cascade").p == p
+        assert counts["slope"] == 1 and counts["rhs"] > 10, (name, counts)
+
+
+def test_bdf_step_slope_is_the_rhs_at_the_solution(monkeypatch):
+    # the sweep returns its last RHS value; Newton, which the sweep hands
+    # over to on y' = -1000 y, returns (g0 y + hist) / tau
+    import cbdf.bdf_core
+
+    factorizations = []
+
+    def counted(a, b):
+        factorizations.append(a)
+        return solve_dense(a, b)
+
+    monkeypatch.setattr(cbdf.bdf_core, "solve_dense", counted)
+    cubic = lambda t, y: -(y**3)
+    stiff = lambda t, y: -1000.0 * y
+    for rhs, newton in ((cubic, False), (stiff, True)):
+        for p in (1, 3, 5):
+            tau = 0.01
+            times = tuple(j * tau for j in range(p))
+            window = HistoryWindow(times, tuple(np.array([1.0 - 0.5 * t]) for t in times))
+            factorizations.clear()
+            y, slope = bdf_step(rhs, window, tau, *step_weights(window, tau))
+            assert bool(factorizations) == newton
+            expect = rhs(times[-1] + tau, y)
+            assert np.abs(slope - expect).max() <= 1e-9 * np.abs(expect).max()
+
+
+def test_window_without_slope_costs_one_rhs_call():
+    # the same step from the same window, with and without its slope: one
+    # more RHS call, the same state within the solve's tolerance
+    cfg = ImplicitSolveConfig()
+    calls = [0]
+
+    def rhs(t, y):
+        calls[0] += 1
+        return -(y**3)
+
+    for p in (1, 2, 4):
+        times = tuple(0.1 * j for j in range(p))
+        states = tuple(np.array([1.0 / np.sqrt(1.0 + 2.0 * t)]) for t in times)
+        bare = HistoryWindow(times, states)
+        known = HistoryWindow(times, states, -(bare.states[-1] ** 3))
+        counts, ys = [], []
+        for window in (known, bare):
+            calls[0] = 0
+            y, _ = bdf_step(rhs, window, 0.1, *step_weights(window, 0.1), cfg)
+            counts.append(calls[0])
+            ys.append(y)
+        assert counts[1] == counts[0] + 1
+        assert np.abs(ys[1] - ys[0]).max() <= cfg.tol
 
 
 def test_production_paths_take_weights_from_their_caller(monkeypatch):

@@ -305,14 +305,41 @@ def test_composed_step_forwards_real_window():
     assert np.array_equal(new.states[-1], out.y_real)
 
 
+def test_composed_step_forwards_slopes():
+    # the forwarded window carries Re f(t, y_hat), the real part of the
+    # second sub-step's slope; on y' = -y^3 that is f(t, y_real) + 3 y_real e^2
+    # with e the imaginary part, so it matches the slope of the real state
+    # to 1e-9 at the benchmark's step and differs by exactly that term at a
+    # coarse one
+    rhs = lambda t, y: -(y**3)
+    for p in (1, 2, 3, 4):
+        for tau in (1 / 160, 0.05):
+            window = window_cubic(p, tau)
+            setup = build_setup(ratios_from_window(window, tau))
+            new, out = composed_step(rhs, window, tau, setup)
+            expect = rhs(new.times[-1], out.y_real)
+            assert new.slope.shape == out.y_real.shape
+            if tau < 0.01:
+                assert np.abs(new.slope - expect).max() <= 1e-9 * np.abs(expect).max()
+            else:
+                # the sweep's slope is f at its previous iterate, within 1e-12 of y_hat
+                term = 3.0 * out.y_real * out.error_estimate_raw**2
+                assert np.abs(new.slope - expect - term).max() <= 1e-3 * np.abs(term).max() + 1e-12
+            # a step from the forwarded window reads its slope: the same state
+            # as from a copy without one, within the solve's tolerance
+            _, again = composed_step(rhs, new, tau, setup)
+            _, fresh = composed_step(rhs, HistoryWindow(new.times, new.states), tau, setup)
+            assert np.abs(again.y_real - fresh.y_real).max() <= 1e-12
+
+
 def test_composed_step_shifts_two_windows(monkeypatch):
     # one shift for the intermediate window, one for the forwarded window
     shifts = []
     advanced = HistoryWindow.advanced
 
-    def counted(self, t_new, y_new):
+    def counted(self, t_new, y_new, slope=None):
         shifts.append(t_new)
-        return advanced(self, t_new, y_new)
+        return advanced(self, t_new, y_new, slope)
 
     monkeypatch.setattr(HistoryWindow, "advanced", counted)
     window = window_cubic(3, 0.1)
@@ -353,10 +380,10 @@ def test_conjugate_branch_conjugates_output():
     a1 = solve_alpha1(uniform_ratios(p))
     out = {}
     for branch, a in (("plus", a1), ("minus", a1.conjugate())):
-        y_mid = bdf_step(rhs, window, a * tau, *step_weights(window, a * tau), cfg)
+        y_mid, _ = bdf_step(rhs, window, a * tau, *step_weights(window, a * tau), cfg)
         mid = window.advanced(window.times[-1] + a * tau, y_mid)
         tau2 = (window.times[-1] + tau) - mid.times[-1]
-        y_hat = bdf_step(rhs, mid, tau2, *step_weights(mid, tau2), cfg)
+        y_hat, _ = bdf_step(rhs, mid, tau2, *step_weights(mid, tau2), cfg)
         out[branch] = y_hat[0]
     assert abs(out["plus"] - out["minus"].conjugate()) < 1e-12
     assert abs(out["plus"].real - out["minus"].real) < 1e-12
@@ -380,10 +407,10 @@ def test_composed_step_matches_reference_substeps(rng, p):
             continue
         _, out = composed_step(rhs, window, tau, setup, cfg)
         tau1 = setup.alpha1 * tau
-        y_half = bdf_step(rhs, window, tau1, *step_weights(window, tau1), cfg)
+        y_half, _ = bdf_step(rhs, window, tau1, *step_weights(window, tau1), cfg)
         mid = window.advanced(window.times[-1] + tau1, y_half)
         tau2 = (window.times[-1] + tau) - mid.times[-1]
-        y_hat = bdf_step(rhs, mid, tau2, *step_weights(mid, tau2), cfg)
+        y_hat, _ = bdf_step(rhs, mid, tau2, *step_weights(mid, tau2), cfg)
         assert np.max(np.abs(out.intermediate - y_half)) <= 1e-12 * np.max(np.abs(y_half))
         composed = out.y_real + 1j * out.error_estimate_raw
         assert np.max(np.abs(composed - y_hat)) <= 1e-12 * np.max(np.abs(y_hat))
@@ -450,16 +477,26 @@ def test_stage_equivalence(rng):
                 assert len(got) == len(ref) == p + 1
                 scale = max(1.0, max(abs(v) for v in ref))
                 assert max(abs(a - b) for a, b in zip(got, ref)) <= 1e-9 * scale
+            # the arrays the sub-steps read hold the same weights
+            for (weights, _), ref in ((s.step1, s.g), (s.step2, s.G[: p + 1])):
+                assert np.array_equal(weights, ref)
             # the predictor weights, built in units of the step, are those
             # of the sub-steps' own nodes on a shifted and scaled time axis
             t0, tau = 2.5, 0.03
             real = tuple(t0 + tau * t for t in times)
             mid = t0 + tau * s.alpha1
-            for got, ref in ((s.predictor1, predictor_weights(real, mid)),
-                             (s.predictor2, predictor_weights(real[1:] + (mid,), t0 + tau))):
-                assert len(got) == len(ref) == p
+            for (_, got), nodes, target in ((s.step1, real, mid),
+                                            (s.step2, real[1:] + (mid,), t0 + tau)):
+                ref = predictor_weights(nodes, target)
+                assert len(got) == len(ref) == p + 1
                 scale = max(abs(v) for v in ref)
                 assert max(abs(a - b) for a, b in zip(got, ref)) <= 1e-9 * scale
+                # the slope weight times the sub-step is the Hermite slope
+                # weight on the real axis, prod_k (t - t_k) / prod_{k<p} (t_p - t_k)
+                h = target - nodes[-1]
+                hermite = (np.prod([target - t for t in nodes])
+                           / np.prod([nodes[-1] - t for t in nodes[:-1]]))
+                assert abs(got[-1] * h - hermite) <= 1e-9 * max(1.0, abs(hermite)) * abs(h)
 
 
 def test_root_condition_equivalence(rng):
