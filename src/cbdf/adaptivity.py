@@ -8,11 +8,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .composition import build_setup, composed_step, ratios_from_window, solve_alpha1
-from .errors import NoAdmissibleRoot, NoConvergence
+from .composition import build_setup, composed_step, crossing_ratio, ratios_from_window
+from .errors import NoConvergence
 from .problems import ODEProblem, bootstrap
 
-_BISECT_TOL = 1e-4
 _TAU_FLOOR = 1e-12  # smallest step the controller proposes
 _MAX_STEPS = 500000
 
@@ -66,51 +65,22 @@ def next_step(tau_n: float, e_n: float, ctl: StepController) -> float:
 
 
 def _history_gaps(p: int, mode: str) -> list:
-    """Window gap sizes, newest gap first, per the bound-table construction."""
-    if mode == "first-step":
-        return [1.0] * (p - 1)
-    if mode == "steady":
-        rho = p ** (1.0 / (p * (p - 1)))
-        return [rho**j for j in range(p - 1)]
-    raise ValueError(f"unknown mode {mode!r}")
-
-
-def _has_admissible_root(p: int, gaps: list, ratio: float) -> bool:
-    tau_n = ratio * (gaps[0] if gaps else 1.0)
-    r = [0.0]
-    acc = 0.0
-    for j in range(2, p + 1):
-        acc += gaps[j - 2]
-        r.append(acc / tau_n)
-    try:
-        solve_alpha1(tuple(r))
-        return True
-    except NoAdmissibleRoot:
-        return False
+    """Window gap sizes, newest first, each rho times the next newer; rho = 1 for first-step."""
+    if mode not in ("first-step", "steady"):
+        raise ValueError(f"unknown mode {mode!r}")
+    rho = p ** (1.0 / (p * (p - 1))) if mode == "steady" else 1.0
+    return [rho**j for j in range(p - 1)]
 
 
 def min_ratio(p: int, mode: str = "first-step") -> float:
-    """Smallest step ratio keeping a positive-real-part sub-step root.
-
-    first-step: uniform history; steady: geometrically pre-contracted
-    history with each prior ratio at the mode's own bound. Bisection to
-    1e-4 on the transition.
+    """Smallest step ratio keeping a positive-real-part sub-step root, where it
+    crosses the imaginary axis (``crossing_ratio``). first-step: uniform history;
+    steady: each prior ratio 1/rho, rho = p^(1/(p(p-1))).
     """
     if not 2 <= p <= 8:
         raise ValueError(f"base order must be in 2..8, got {p}")
-    gaps = _history_gaps(p, mode)
-    lo, hi = 1e-3, 1.5
-    if not _has_admissible_root(p, gaps, hi):
-        raise NoAdmissibleRoot(f"no admissible root even at ratio {hi}")
-    if _has_admissible_root(p, gaps, lo):
-        return lo
-    while hi - lo > _BISECT_TOL:
-        mid = 0.5 * (lo + hi)
-        if _has_admissible_root(p, gaps, mid):
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    gaps = _history_gaps(p, mode)  # newest first, the newest of length 1
+    return crossing_ratio([sum(gaps[:j]) for j in range(p)])
 
 
 @dataclass

@@ -110,6 +110,35 @@ def alpha1_polynomial(ratios: Sequence[complex]) -> np.ndarray:
     return np.array(_alpha1_coeffs(tuple(map(complex, ratios))))
 
 
+def _fraction_equation(a: complex, c: Sequence[float], s: float) -> tuple:
+    """``(F, dF/da, dF/ds)`` for F(a; s) = (1-a)^2 sum_j a/(a + c_j s) + a^2 + c_p s a,
+    the equation ``alpha1_polynomial`` clears, on the ladder r_j = c_j s."""
+    q = [1.0 / (a + cj * s) for cj in c]
+    S = a * sum(q)
+    T = sum([cj * qj * qj for cj, qj in zip(c, q)])  # dS/da = s T, dS/ds = -a T
+    u2 = (1.0 - a) ** 2
+    return (u2 * S + a * a + c[-1] * s * a,
+            u2 * s * T - 2.0 * (1.0 - a) * S + 2.0 * a + c[-1] * s,
+            c[-1] * a - u2 * a * T)
+
+
+def crossing_ratio(c: Sequence[float]) -> float:
+    """The step ratio 1/s at which the admissible root on the ladder r_j = c_j s,
+    c in units of the newest gap, reaches the imaginary axis at a = iy: Newton's
+    method on Re F = Im F = 0 (``_fraction_equation``) in (y, s) from (1, 1)."""
+    y, s = 1.0, 1.0
+    for _ in range(30):
+        F, Fa, Fs = _fraction_equation(1j * y, c, s)
+        # i Fa dy + Fs ds = F splits into two real equations by conj(Fs) and conj(Fa);
+        # a singular system takes NaN steps, which never settle
+        det = (Fa.conjugate() * Fs).real or math.nan
+        dy, ds = (Fs.conjugate() * F).imag / det, (Fa.conjugate() * F).real / det
+        y, s = y - dy, s - ds
+        if abs(dy) <= 1e-13 * abs(y) and abs(ds) <= 1e-13 * abs(s):
+            return 1.0 / s
+    raise NoConvergence(f"no imaginary-axis crossing found in 30 steps for the ladder {c}")
+
+
 def _offsets(alpha1: complex, r: tuple) -> tuple:
     """The node-offset table of one composed step, ``(eps, w)``.
 

@@ -1,17 +1,20 @@
 """Step controller, admissible-ratio bounds, and the adaptive driver."""
 import math
+from itertools import accumulate
 
 import numpy as np
 import pytest
 
 from cbdf.adaptivity import (
     StepController,
+    _history_gaps,
     adaptive_drive,
     min_ratio,
     next_step,
     ratio_clamp,
 )
-from cbdf.errors import NoConvergence
+from cbdf.composition import solve_alpha1
+from cbdf.errors import NoAdmissibleRoot, NoConvergence
 from cbdf.problems import builtin
 
 TABLE_FIRST = {2: 0.4506, 3: 0.6311, 4: 0.7158, 5: 0.7717, 6: 0.8125, 7: 0.8454, 8: 0.8734}
@@ -82,6 +85,33 @@ def test_min_ratio_first_step(p):
 
 def test_min_ratio_steady_headline():
     assert abs(min_ratio(3, "steady") - 0.6806) <= 5e-3
+
+
+# where the admissible root reaches the imaginary axis (an independent
+# fsolve on alpha1_polynomial(iy) = 0 gives the same seven digits)
+EXACT_BOUNDS = {
+    (2, "first-step"): 0.4496976,
+    (3, "first-step"): 0.6305101,
+    (4, "first-step"): 0.7156863,
+    (3, "steady"): 0.6801446,
+    (4, "steady"): 0.7894603,
+}
+
+
+@pytest.mark.parametrize("p, mode", sorted(EXACT_BOUNDS))
+def test_min_ratio_is_the_crossing(p, mode):
+    assert abs(min_ratio(p, mode) - EXACT_BOUNDS[p, mode]) <= 1e-7
+
+
+@pytest.mark.parametrize("mode", ["first-step", "steady"])
+@pytest.mark.parametrize("p", range(2, 9))
+def test_min_ratio_brackets_admissibility(p, mode):
+    # just above the bound the ladder has an admissible root, just below none
+    bound = min_ratio(p, mode)
+    c = tuple(accumulate(_history_gaps(p, mode), initial=0.0))
+    assert solve_alpha1(tuple(x / (bound * (1 + 1e-9)) for x in c)).real > 0
+    with pytest.raises(NoAdmissibleRoot):
+        solve_alpha1(tuple(x / (bound * (1 - 1e-9)) for x in c))
 
 
 def test_rule_of_thumb_is_conservative():

@@ -1,4 +1,6 @@
 """Coefficient generation and the implicit step."""
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -319,6 +321,20 @@ def test_no_convergence_budget():
     cfg = ImplicitSolveConfig(tol=1e-13, max_iterations=1)
     with pytest.raises(NoConvergence):
         bdf_step(lambda t, y: -(y**3) * 40.0, window, 0.9, *step_weights(window, 0.9), cfg)
+
+
+def test_overflowing_sweep_warns_nothing():
+    # a sweep at tau = 5e25 overflows cubing its iterate; the step must fail
+    # with its own error, not leak numpy's overflow warning to the caller
+    from cbdf.errors import NoConvergence
+
+    window = HistoryWindow((0.0,), (np.array([1.0 + 0j]),))
+    tau = 5e25
+    predictor = predictor_weights((0.0,), tau)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NoConvergence):
+            bdf_step(lambda t, y: -(y**3), window, tau, coeff_fixed(1), predictor)
 
 
 def test_fixed_point_stays_in_contraction_regime(monkeypatch):

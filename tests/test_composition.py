@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cbdf import composition
@@ -24,7 +24,7 @@ from cbdf.composition import (
     ratios_from_window,
     solve_alpha1,
 )
-from cbdf.errors import NoAdmissibleRoot, PoleEvaluation
+from cbdf.errors import NoAdmissibleRoot, NoConvergence, PoleEvaluation
 from cbdf.polyroot import find_roots, solve_dense
 from conftest import (
     draw_alpha,
@@ -122,6 +122,32 @@ def test_at_most_one_upper_right_root(p, seed):
     # what lets solve_alpha1 pick its root from the ratios alone
     roots = find_roots(alpha1_polynomial(draw_ratios(np.random.default_rng(seed), p)))
     assert sum(z.real > 0.0 and z.imag > 0.0 for z in roots) <= 1
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(p=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+def test_fraction_equation_vanishes_at_the_root(p, seed):
+    # the uncleared equation the ratio bound solves has the root the
+    # cleared alpha1_polynomial gives, and its partials are its slopes
+    r = draw_ratios(np.random.default_rng(seed), p)
+    try:
+        a = solve_alpha1(r)
+    except NoAdmissibleRoot:
+        assume(False)
+    f = composition._fraction_equation
+    F, Fa, Fs = f(a, r, 1.0)
+    assert abs(F) <= 1e-12 * (1.0 + r[-1])
+    h = 1e-6
+    da = (f(a + h, r, 1.0)[0] - f(a - h, r, 1.0)[0]) / (2 * h)
+    ds = (f(a, r, 1.0 + h)[0] - f(a, r, 1.0 - h)[0]) / (2 * h)
+    assert abs(da - Fa) <= 1e-6 * (1.0 + abs(Fa))
+    assert abs(ds - Fs) <= 1e-6 * (1.0 + abs(Fs))
+
+
+def test_crossing_ratio_without_a_crossing_raises():
+    # two coincident nodes leave F independent of s: Newton's system is singular
+    with pytest.raises(NoConvergence, match="crossing"):
+        composition.crossing_ratio([0.0, 0.0])
 
 
 def _outcome(fn, r):
@@ -370,6 +396,25 @@ def test_composed_step_local_order():
     slope = np.log(errs[-2] / errs[-1]) / np.log(2.0)
     assert abs(slope - 4.0) < 0.35
     assert all(a > b for a, b in zip(errs, errs[1:]))
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_global_order_on_a_variable_mesh(p):
+    # on t_n = phi(n/N) the steps vary between 0.7 and 1.3 of their mean, so
+    # every step builds its own setup; the global error keeps order p + 1
+    exact = lambda t: 1.0 / np.sqrt(1.0 + 2.0 * t)
+    phi = lambda x: x + 0.3 * np.sin(2 * np.pi * x) / (2 * np.pi)
+    errs = []
+    for n_steps in (80, 160):
+        mesh = [phi(n / n_steps) for n in range(n_steps + 1)]
+        window = HistoryWindow(tuple(mesh[:p]), tuple([exact(t)] for t in mesh[:p]))
+        for n in range(p, n_steps + 1):
+            tau = mesh[n] - mesh[n - 1]
+            window, out = composed_step(lambda t, y: -(y**3), window, tau,
+                                        build_setup(ratios_from_window(window, tau)))
+        errs.append(abs(exact(mesh[-1]) - out.y_real[0]))
+    slope = np.log2(errs[0] / errs[1])
+    assert abs(slope - (p + 1)) <= 0.15
 
 
 def test_conjugate_branch_conjugates_output():
