@@ -6,7 +6,6 @@ composed flow evaluates them at complex intermediate nodes.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional
@@ -62,30 +61,30 @@ def lambert_w(x: float) -> float:
     return w
 
 
+@lru_cache(maxsize=None)
+def _gauss_legendre_16() -> tuple:
+    """Nodes on [0, 1] and weights of the 16-point Gauss-Legendre rule."""
+    from numpy.polynomial.legendre import leggauss  # not loaded by `import numpy`
+
+    x, w = leggauss(16)
+    return 0.5 * (x + 1.0), 0.5 * w
+
+
 def _exp_weighted_arctan(t: float, lam: float, scale: float) -> float:
-    """Stable evaluation of the forced-response integral for the arctan problem.
+    """-lam times the integral of e^{lam u} arctan(scale*(t-u)) over [0, t].
 
-    Integrates e^{lam (t-s)} arctan(scale*s) over [0, t]; the kernel decays
-    fast for lam << 0, so the domain is truncated where it underflows.
+    By parts: arctan(scale*t) less the integral of e^{lam u} scale/(1 + (scale*(t-u))^2),
+    truncated, with its boundary term, where e^{lam u} underflows. Its poles u = t +- i/scale
+    lie a panel width from the axis, so 16 Gauss-Legendre nodes per panel err by about 5e-19.
     """
-    # deferred, like solve_dense's scipy.linalg: `import cbdf` stays free of scipy
-    from scipy.integrate import IntegrationWarning, quad
-
     if t <= 0.0:
         return 0.0
     cutoff = min(t, 46.0 / abs(lam))  # e^{-46} is below double roundoff
-    with warnings.catch_warnings():
-        # the requested epsabs sits at the roundoff floor by design
-        warnings.simplefilter("ignore", IntegrationWarning)
-        val, _ = quad(
-            lambda u: math.exp(lam * u) * math.atan(scale * (t - u)),
-            0.0,
-            cutoff,
-            epsabs=1e-16,
-            epsrel=1e-14,
-            limit=500,
-        )
-    return val
+    panels = math.ceil(cutoff * scale)
+    x, w = _gauss_legendre_16()
+    u = (np.arange(panels)[:, None] + x) * (cutoff / panels)
+    kernel = np.exp(lam * u) * (scale / (1.0 + (scale * (t - u)) ** 2))
+    return math.atan(scale * t) - cutoff / panels * float(np.sum(kernel * w))
 
 
 def builtin(name: str, **params) -> ODEProblem:
@@ -138,7 +137,7 @@ def builtin(name: str, **params) -> ODEProblem:
             return _exp_weighted_arctan(t, lam, scale)
 
         def exact(t, lam=lam):
-            return np.array([math.exp(lam * t) - lam * forced(t)])
+            return np.array([math.exp(lam * t) + forced(t)])
 
         def rhs(t, y, lam=lam, scale=scale):
             return lam * (y - np.arctan(scale * t))

@@ -99,7 +99,7 @@ def _stable_mask(rows: np.ndarray) -> np.ndarray:
         stable &= np.abs(a0) < np.abs(ak)
         a, tail = np.conj(ak) * a[1:], np.conj(a[-2::-1])
         a -= np.multiply(a0, tail, out=tail)  # a0 first: FMA rounds by operand order
-        a /= np.maximum(np.max(np.abs(a), axis=0), 1e-300)
+        a *= 1.0 / np.maximum(np.max(np.abs(a), axis=0), 1e-300)
     out = np.zeros(rows.shape[0], dtype=bool)
     out[regular] = stable
     return out

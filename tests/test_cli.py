@@ -253,9 +253,24 @@ def _fresh_python(code):
 
 
 def test_import_loads_no_scipy():
-    # scipy is imported where it is used, so a cold `import cbdf` stays light
-    code = "import sys, cbdf; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    assert _fresh_python(code) == "[]"
+    # scipy is imported where it is used, so a cold `import cbdf` stays light, and
+    # runs on scalar problems, which solve no matrix larger than 1x1, never load it
+    code = """
+import sys, cbdf
+def loaded(*prefixes):
+    return sorted(m for m in sys.modules if m.startswith(prefixes))
+print(loaded("scipy", "numpy.polynomial"))
+for name in ("cubic_decay", "forced_linear", "stiff_arctan", "lambert"):
+    prob = cbdf.builtin(name)
+    for t in (0.0, 0.01, 0.5, prob.t_end):
+        prob.exact(t)
+prob = cbdf.builtin("stiff_arctan")
+cbdf.bootstrap(prob, 4, 0.01)
+short = cbdf.ODEProblem(prob.rhs, prob.t0, prob.y0, 0.3, prob.exact, prob.name)
+cbdf.adaptive_drive(short, 4, 0.01, cbdf.StepController(4, 1e-10))
+print(loaded("scipy"))
+"""
+    assert _fresh_python(code).splitlines() == ["[]", "[]"]
 
 
 def test_public_names_resolve():

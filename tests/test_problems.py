@@ -52,6 +52,34 @@ def test_rhs_accepts_complex_arguments():
         assert np.iscomplexobj(np.asarray(val))
 
 
+def _arctan_oracle(t: float) -> float:
+    """stiff_arctan's exact solution at t, by a 40-digit mpmath quadrature."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        lam, tt = mpmath.mpf(-50), mpmath.mpf(t)
+        cut = min(tt, mpmath.mpf(46) / 50)
+        integral = mpmath.quad(lambda u: mpmath.exp(lam * u) * mpmath.atan(20 * (tt - u)),
+                               [cut * k / 20 for k in range(21)])
+        return float(mpmath.exp(lam * tt) - lam * integral)
+
+
+@pytest.mark.parametrize("t", (1e-6, 0.05, 0.3, 0.92 - 1e-7, 0.92, 0.92 + 1e-7, 3.0, 2.0 * math.pi))
+def test_stiff_arctan_exact_matches_oracle(t):
+    # t << 1, the e^{-46} cutoff at 46/50 = 0.92 on both sides, and t_end
+    assert abs(builtin("stiff_arctan").exact(t)[0] - _arctan_oracle(t)) <= 1e-15
+
+
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")  # epsabs at roundoff
+def test_stiff_arctan_exact_matches_quad():
+    integrate = pytest.importorskip("scipy.integrate")
+    exact = builtin("stiff_arctan").exact
+    rng = np.random.default_rng(7)
+    for t in rng.uniform(0.0, 2.0 * math.pi, 100):
+        integral, _ = integrate.quad(lambda u: math.exp(-50.0 * u) * math.atan(20.0 * (t - u)),
+                                     0.0, min(t, 0.92), epsabs=1e-16, epsrel=1e-14, limit=500)
+        assert abs(exact(t)[0] - (math.exp(-50.0 * t) + 50.0 * integral)) <= 2e-15, t
+
+
 def test_lambert_w_values():
     assert lambert_w(0.0) == 0.0
     assert lambert_w(math.e) == pytest.approx(1.0, abs=1e-14)
