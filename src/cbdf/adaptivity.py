@@ -121,14 +121,15 @@ def adaptive_drive(
 ) -> TrajectoryRecord:
     """March the composed flow with error-controlled steps until problem.t_end.
 
-    With ``clamps`` the consecutive-step ratio stays inside [1/ell, ell]
+    With ``clamps`` the consecutive-step ratio stays inside [1/ell, ell],
     and the run lands exactly on t_end whenever the shortened final step
-    stays within the clamp (otherwise it overshoots slightly). Without
-    clamps the controller is the raw rescale rule (growth capped at x10
-    when the estimate is zero), which can demand an inadmissible ratio and
-    raise NoAdmissibleRoot. The history starts from the exact solution;
-    a run that needs more than 500,000 steps raises NoConvergence. A p
-    other than ``ctl.p``, or a tau0 not positive and finite, raises ValueError.
+    stays within the clamp. Without clamps the controller is the raw
+    rescale rule (growth capped at x10 when the estimate is zero), which
+    can demand an inadmissible ratio and raise NoAdmissibleRoot. A run that
+    does not land ends past t_end, by less than its last step. The history
+    starts from the exact solution; a run that needs more than 500,000
+    steps raises NoConvergence. A p other than ``ctl.p``, or a tau0 not
+    positive and finite, raises ValueError.
     """
     if p != ctl.p:
         raise ValueError(f"base order {p} differs from the controller's order {ctl.p}")
@@ -152,8 +153,8 @@ def adaptive_drive(
         if clamps:
             tau_next = next_step(tau, e_n, ctl)
             remaining = t_end - t
-            # land exactly on t_end only when the shortened step keeps the
-            # consecutive ratio admissible; otherwise overshoot slightly
+            # land exactly on t_end only when the shortened step keeps the consecutive
+            # ratio admissible; otherwise the last step ends past t_end by less than its length
             if _TAU_FLOOR < remaining < tau_next and remaining >= tau / ctl.ell:
                 tau_next = remaining
         else:

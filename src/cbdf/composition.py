@@ -41,7 +41,6 @@ class CompositionSetup:
     """Everything one composed step needs, derived from the step ratios."""
 
     p: int
-    ratios: tuple
     alpha1: complex
     eps: tuple
     g: tuple  # first-stage weights g_0..g_p, for the offsets eps
@@ -70,7 +69,6 @@ class ComposedStepOutput:
     y_real: np.ndarray
     error_estimate_raw: np.ndarray
     error_estimate: float
-    intermediate: np.ndarray
 
 
 def ratios_from_window(window: HistoryWindow, tau: float) -> tuple:
@@ -340,7 +338,6 @@ def build_setup(ratios: Sequence[complex]) -> CompositionSetup:
     rows.setflags(write=False)
     return CompositionSetup(
         p=p,
-        ratios=r,
         alpha1=alpha1,
         eps=eps,
         g=g,
@@ -363,8 +360,8 @@ def composed_step(
     Returns ``(new_window, output)``. The forwarded window carries the real
     part of the composed result at the real node t_{n-1} + tau, with the
     real part of the second sub-step's slope as its slope; the output
-    record holds that real part, the imaginary part and the intermediate
-    state. ``setup`` holds the constants for the window's step ratios,
+    record holds that real part and the imaginary part. ``setup`` holds the
+    constants for the window's step ratios,
     ``build_setup(ratios_from_window(window, tau))``, including both sub-steps'
     weights and predictors; raises ValueError when its node count differs
     from the window's.
@@ -384,5 +381,4 @@ def composed_step(
         y_real=y_real,
         error_estimate_raw=raw,
         error_estimate=abs(setup.error_constant) * float(np.abs(raw).max()),
-        intermediate=y_half,
     )

@@ -1,4 +1,4 @@
-"""Built-in test problems with exact solutions, and window bootstrap policies.
+"""Built-in test problems with exact solutions, and windows sampled from them.
 
 All right-hand sides accept complex time and complex states, because the
 composed flow evaluates them at complex intermediate nodes.
@@ -12,7 +12,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .bdf_core import HistoryWindow, ImplicitSolveConfig
+from .bdf_core import HistoryWindow
 from .errors import DomainError, MissingExactSolution, UnknownProblem
 
 _INV_E = math.exp(-1.0)
@@ -175,46 +175,17 @@ def from_record(record: dict) -> ODEProblem:
 
 
 def bootstrap(problem: ODEProblem, p: int, tau: float, policy: str = "exact") -> HistoryWindow:
-    """Length-p startup window on the uniform grid t0 + j*tau, tau positive and finite.
+    """Length-p startup window sampled from the problem's exact solution on
+    the uniform grid t0 + j*tau, tau positive and finite.
 
-    exact    sample the problem's exact solution (raises without one)
-    cascade  build each new point with composed flows of growing base order,
-             sub-stepped so the startup error shrinks one power faster than
-             the target scheme needs
+    Raises MissingExactSolution for a problem without one, and ValueError
+    for any ``policy`` other than ``"exact"``, the only one there is.
     """
     if not 0 < tau < math.inf:
         raise ValueError(f"tau must be positive and finite, got {tau!r}")
-    if policy == "exact":
-        if problem.exact is None:
-            raise MissingExactSolution(f"problem {problem.name!r} has no exact solution")
-        times = tuple(problem.t0 + j * tau for j in range(p))
-        return HistoryWindow(times, tuple(problem.exact(t).astype(complex) for t in times))
-    if policy != "cascade":
+    if policy != "exact":
         raise ValueError(f"unknown bootstrap policy {policy!r}")
-    # local import breaks the cycle
-    from .composition import build_setup, composed_step, ratios_from_window
-
-    cfg = ImplicitSolveConfig(tol=1e-14)
-    ts = [problem.t0]
-    ys = [problem.y0.astype(complex)]
-    slope = None  # at the newest point, once a step has given it
-    for j in range(1, p):
-        base = j
-        # stage j contributes error ~ n * (tau/n)^(j+2); the count must grow
-        # as tau shrinks for the startup error to close at one order above p
-        substeps = max(2 ** (p - 1 - j), math.ceil(tau ** (-(p - 1 - j) / (j + 1))))
-        h = tau / substeps
-        for _ in range(substeps):
-            win = HistoryWindow(tuple(ts[-base:]), tuple(ys[-base:]), slope)
-            setup = build_setup(ratios_from_window(win, h))
-            win, out = composed_step(problem.rhs, win, h, setup, cfg)
-            slope = win.slope
-            ts.append(win.times[-1].real)
-            ys.append(out.y_real.astype(complex))
-    coarse = [problem.t0 + j * tau for j in range(p)]
-    picked_t, picked_y = [], []
-    for tc in coarse:
-        k = min(range(len(ts)), key=lambda i: abs(ts[i] - tc))
-        picked_t.append(tc)
-        picked_y.append(ys[k])
-    return HistoryWindow(tuple(picked_t), tuple(picked_y))
+    if problem.exact is None:
+        raise MissingExactSolution(f"problem {problem.name!r} has no exact solution")
+    times = tuple(problem.t0 + j * tau for j in range(p))
+    return HistoryWindow(times, tuple(problem.exact(t).astype(complex) for t in times))

@@ -466,12 +466,12 @@ def _count_slope_evaluations(monkeypatch, modules):
 def test_one_slope_evaluation_per_run(monkeypatch):
     # only the bootstrapped window lacks a slope: every later window, the
     # intermediate and the forwarded one, carries the slope of the sub-step
-    # that built it; the cascade start carries it from step to step too
+    # that built it
     import cbdf.cli
     import cbdf.composition
     from cbdf import adaptivity
     from cbdf.cli import integrate_fixed
-    from cbdf.problems import ODEProblem, bootstrap, builtin
+    from cbdf.problems import ODEProblem, builtin
 
     wrap, counts = _count_slope_evaluations(monkeypatch, (cbdf.cli, cbdf.composition))
     for name, p in (("cubic_decay", 3), ("stiff_arctan", 4)):
@@ -485,9 +485,6 @@ def test_one_slope_evaluation_per_run(monkeypatch):
         rec = adaptivity.adaptive_drive(prob, p, 0.01, adaptivity.StepController(p=p, tol=1e-8))
         assert rec.times[-1] >= prob.t_end - 1e-12
         assert counts["slope"] == 1 and counts["rhs"] > 100, (name, counts)
-        counts.update(slope=0, rhs=0)
-        assert bootstrap(prob, p, 0.05, policy="cascade").p == p
-        assert counts["slope"] == 1 and counts["rhs"] > 10, (name, counts)
 
 
 def test_bdf_step_slope_is_the_rhs_at_the_solution(monkeypatch):

@@ -121,23 +121,16 @@ def test_bootstrap_missing_exact():
         bootstrap(prob, 2, 0.1, policy="exact")
 
 
-def test_bootstrap_cascade_startup_order():
-    # cascade startup error shrinks at least one power faster than order p
-    prob = builtin("cubic_decay")
-    errs = []
-    taus = (0.1, 0.05, 0.025)
-    for tau in taus:
-        win_c = bootstrap(prob, 3, tau, policy="cascade")
-        win_e = bootstrap(prob, 3, tau, policy="exact")
-        errs.append(
-            max(
-                float(np.max(np.abs(a - b)))
-                for a, b in zip(win_c.states, win_e.states)
-            )
-        )
-    slope = np.polyfit(np.log(taus), np.log(errs), 1)[0]
-    assert slope > 3.2, f"startup slope {slope:.2f}, errors {errs}"
-    assert errs[0] < 1e-4
+@pytest.mark.parametrize("policy", ["cascade", "", "Exact", None])
+def test_bootstrap_rejects_other_policies(policy):
+    with pytest.raises(ValueError, match="policy"):
+        bootstrap(builtin("cubic_decay"), 2, 0.1, policy=policy)
+
+
+@pytest.mark.parametrize("tau", [0.0, -0.1, float("nan"), float("inf")])
+def test_bootstrap_rejects_bad_step(tau):
+    with pytest.raises(ValueError, match="tau"):
+        bootstrap(builtin("cubic_decay"), 2, tau)
 
 
 def test_from_record():
