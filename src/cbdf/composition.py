@@ -2,18 +2,19 @@
 then one of 1 - alpha1, whose real output gains one order of accuracy and
 whose imaginary part estimates the local error.
 
-The sub-step fraction is the positive-real-part root of an algebraic
-equation in the step ratios, found by a scalar Newton iteration from the
-uniform ladder's root; the second-stage weights, the error constant and
-both sub-steps' predictor weights follow from it in closed form, over
-Python scalars, and the weights the two sub-steps read are converted to
-arrays once per setup.
+The sub-step fraction, the positive-real-part root of an algebraic
+equation in the step ratios, comes from a scalar Newton iteration on
+``_fraction_equation``, the function the step-ratio bounds iterate, started
+from the uniform ladder's root; the cleared polynomial only feeds the
+companion matrix. The second-stage weights, the error constant and both
+sub-steps' predictor weights follow from it in closed form, over Python
+scalars, and the weights the two sub-steps read become arrays once per setup.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Sequence
 
 import numpy as np
@@ -77,26 +78,6 @@ def ratios_from_window(window: HistoryWindow, tau: float) -> tuple:
     return tuple([(t_last - t) / tau for t in reversed(window.times)])
 
 
-def _alpha1_coeffs(r: tuple) -> list:
-    """``alpha1_polynomial`` as a list of Python complex coefficients."""
-    P = [1.0 + 0j]  # ascending; the elementary symmetric polynomials of r_2..r_p
-    for rj in r[1:]:
-        # multiply by (a + rj) in place, highest coefficient first
-        P.append(P[-1])
-        for k in range(len(P) - 2, 0, -1):
-            P[k] = P[k - 1] + rj * P[k]
-        P[0] = rj * P[0]
-    poly = [0j] * (len(P) + 2)
-    r_last = r[-1]
-    for k, c in enumerate(P):
-        # sum_j a/(a+r_j) times prod_j (a+r_j) = aP is a (aP)', whose a^k coefficient is (k+1) P_k
-        d = (k + 1) * c
-        poly[k] += d
-        poly[k + 1] += r_last * c - 2.0 * d
-        poly[k + 2] += c + d
-    return poly
-
-
 def alpha1_polynomial(ratios: Sequence[complex]) -> np.ndarray:
     """Ascending complex coefficients of the cleared sub-step fraction equation.
 
@@ -105,15 +86,22 @@ def alpha1_polynomial(ratios: Sequence[complex]) -> np.ndarray:
     r_1 = 0) leaves (1-a)^2 (aP)' + (a^2 + r_p a) P with P = prod_{j>=2} (a+r_j),
     a polynomial of degree p+1 with leading coefficient p+1.
     """
-    return np.array(_alpha1_coeffs(tuple(map(complex, ratios))))
+    r = np.asarray(ratios, dtype=complex)
+    P = reduce(np.convolve, [[rj, 1.0] for rj in r[1:]], np.ones(1, dtype=complex))
+    # (aP)' has a^k coefficient (k+1) P_k
+    return (np.convolve([1.0, -2.0, 1.0], np.arange(1, len(P) + 1) * P)
+            + np.convolve([0.0, r[-1], 1.0], P))
 
 
-def _fraction_equation(a: complex, c: Sequence[float], s: float) -> tuple:
+def _fraction_equation(a: complex, c: Sequence[complex], s: float) -> tuple:
     """``(F, dF/da, dF/ds)`` for F(a; s) = (1-a)^2 sum_j a/(a + c_j s) + a^2 + c_p s a,
     the equation ``alpha1_polynomial`` clears, on the ladder r_j = c_j s."""
-    q = [1.0 / (a + cj * s) for cj in c]
-    S = a * sum(q)
-    T = sum([cj * qj * qj for cj, qj in zip(c, q)])  # dS/da = s T, dS/ds = -a T
+    S = T = 0.0
+    for cj in c:
+        qj = 1.0 / (a + cj * s)
+        S += qj
+        T += cj * qj * qj
+    S = a * S  # dS/da = s T, dS/ds = -a T
     u2 = (1.0 - a) ** 2
     return (u2 * S + a * a + c[-1] * s * a,
             u2 * s * T - 2.0 * (1.0 - a) * S + 2.0 * a + c[-1] * s,
@@ -189,35 +177,28 @@ def _G_from_offsets(alpha1: complex, eps: tuple, w: tuple) -> tuple:
 
 
 # Newton steps allowed before the companion matrix takes over; from the
-# uniform root, the adaptive driver's clamped ladders settle in 5 to 7
+# uniform root, the adaptive driver's clamped ladders settle in 1 to 6
 _NEWTON_MAX_ITER = 20
 
 
-def _newton_root(coeffs: list, z: complex):
-    """Newton's root of the polynomial from ``z``, or None if it does not settle.
-
-    Each iteration evaluates the polynomial and its derivative by Horner's
-    rule; the iteration has settled once a step is below 1e-14 of the root.
-    """
-    lead, rest = coeffs[-1], coeffs[-2::-1]
+def _newton_root(r: tuple, z: complex):
+    """Newton's root of ``_fraction_equation`` on the ladder ``r`` from ``z``, or
+    None unless a step falls below 1e-14 of the root within _NEWTON_MAX_ITER."""
     for _ in range(_NEWTON_MAX_ITER):
-        f, df = lead, 0j
-        for c in rest:
-            df = df * z + f
-            f = f * z + c
-        if df == 0:
+        try:
+            F, Fa, _ = _fraction_equation(z, r, 1.0)
+            step = F / Fa
+        except ZeroDivisionError:  # z on a pole of F, or a flat slope
             return None
-        step = f / df
         z -= step
         if abs(step) <= 1e-14 * abs(z):
             return z
     return None
 
 
-def _companion_root(coeffs: list, r: tuple) -> complex:
+def _companion_root(r: tuple) -> complex:
     """The root solve_alpha1 picks, from all companion-matrix roots."""
-    roots = find_roots(coeffs)
-    admissible = [z for z in roots if z.real > 0.0]
+    admissible = [z for z in find_roots(alpha1_polynomial(r)) if z.real > 0.0]
     if not admissible:
         raise NoAdmissibleRoot(f"no positive-real-part root for ratios {r}")
     upper = [z for z in admissible if z.imag > 0.0]
@@ -227,34 +208,28 @@ def _companion_root(coeffs: list, r: tuple) -> complex:
 @lru_cache(maxsize=None)
 def _uniform_root(p: int) -> complex:
     """The admissible root of the uniform ladder 0, 1, .., p - 1."""
-    r = tuple(complex(j) for j in range(p))
-    return _companion_root(_alpha1_coeffs(r), r)
+    return _companion_root(tuple(complex(j) for j in range(p)))
 
 
 def _admissible_root(r: tuple) -> tuple:
     """``(alpha1, eps, w, G)`` for the root solve_alpha1 picks: the root, its
     node-offset table ``_offsets(alpha1, r)`` and ``G_coefficients(alpha1, r)``.
 
-    ``r`` holds the ratios as complex numbers. On a real ladder, Newton's iteration from the uniform ladder's root is
-    kept when it settles in the open upper-right quadrant and zeroes the
-    trailing weight G_(p+1): at most one root lies there, so it is the root
-    the companion rule picks. Otherwise every root comes from the companion
-    matrix and the rule of solve_alpha1 picks one.
+    ``r`` holds the ratios as complex numbers. On a real ladder, Newton's
+    iteration on ``_fraction_equation`` from the uniform ladder's root is
+    kept when it settles in the open upper-right quadrant: at most one root
+    lies there, so it is the root the companion rule picks. Otherwise every
+    root comes from the companion matrix and the rule of solve_alpha1 picks one.
     """
-    coeffs = _alpha1_coeffs(r)
-    if all([rv.imag == 0.0 for rv in r]):
-        z = _newton_root(coeffs, _uniform_root(len(r)))
-        if z is not None and z.real > 0.0 and z.imag > 0.0:
-            eps, w = _offsets(z, r)
-            G = _G_from_offsets(z, eps, w)
-            if abs(G[-1]) <= 1e-9:
-                return z, eps, w, G
-    root = _companion_root(coeffs, r)
-    eps, w = _offsets(root, r)
-    G = _G_from_offsets(root, eps, w)
+    real = all([rv.imag == 0.0 for rv in r])
+    z = _newton_root(r, _uniform_root(len(r))) if real else None
+    if z is None or not (z.real > 0.0 and z.imag > 0.0):
+        z = _companion_root(r)
+    eps, w = _offsets(z, r)
+    G = _G_from_offsets(z, eps, w)
     if abs(G[-1]) > 1e-9:
         raise NoConvergence(f"refined root leaves |G_(p+1)| = {abs(G[-1]):.3e}")
-    return root, eps, w, G
+    return z, eps, w, G
 
 
 def solve_alpha1(ratios: Sequence[complex]) -> complex:
@@ -263,10 +238,10 @@ def solve_alpha1(ratios: Sequence[complex]) -> complex:
     Among roots with positive real part, prefers positive imaginary part,
     then the largest real part. For real ratio ladders at most one root
     lies in the open upper-right quadrant, so the choice depends on the
-    ratios alone, and a Newton iteration from the uniform ladder's root
-    usually finds it without the companion matrix. Raises NoAdmissibleRoot
-    when every root has Re <= 0, and NoConvergence when the root leaves the
-    trailing weight G_(p+1) above 1e-9.
+    ratios alone, and Newton's iteration on ``_fraction_equation`` from the
+    uniform ladder's root usually finds it without the companion matrix.
+    Raises NoAdmissibleRoot when every root has Re <= 0, and NoConvergence
+    when the root leaves the trailing weight G_(p+1) above 1e-9.
     """
     return _admissible_root(tuple(map(complex, ratios)))[0]
 

@@ -3,10 +3,10 @@
 The implicit step's Newton iteration funnels its linear algebra through
 ``solve_dense``, so the error contracts live here and nowhere else. A
 polynomial is an array of its coefficients in ascending degree order.
-The sub-step fraction needs every root of its polynomial only where a
-scalar Newton iteration cannot find the admissible one: for the uniform
-ladder's root that starts the iteration, for complex ladders and for
-ladders with no admissible root. Stability scans need no roots:
+The sub-step fraction needs every root of its cleared polynomial only
+where a scalar Newton iteration on the uncleared equation cannot find the
+admissible one: for the uniform ladder's root that starts the iteration,
+for complex ladders and for ladders with no admissible root. Stability scans need no roots:
 ``stability`` classifies points by the Schur-Cohn recursion instead.
 """
 from __future__ import annotations

@@ -162,12 +162,17 @@ def builtin(name: str, **params) -> ODEProblem:
 
 
 def from_record(record: dict) -> ODEProblem:
-    """Problem from a JSON-style record: {"name": ..., "rhs": builtin-id, ...params}."""
+    """Problem from a JSON-style record: {"name": ..., "rhs": builtin-id, ...params};
+    ValueError for a record that is not an object or a parameter that is not a real number."""
+    if not isinstance(record, dict):
+        raise ValueError(f"a problem record must be an object, got {type(record).__name__}")
     rec = dict(record)
     label = rec.pop("name", None)
     rhs_id = rec.pop("rhs", None)
     if rhs_id is None:
         raise UnknownProblem("record needs an 'rhs' builtin identifier")
+    if not all(type(v) in (int, float) for v in rec.values()):
+        raise ValueError(f"problem parameters must be real numbers, got {rec}")
     prob = builtin(rhs_id, **rec)
     if label:
         prob = ODEProblem(prob.rhs, prob.t0, prob.y0, prob.t_end, prob.exact, str(label))

@@ -201,6 +201,21 @@ def test_bad_argument_exits_2(tmp_path, capsys, argv):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("record", [
+    [1, 2],
+    {"rhs": "forced_linear", "lam": [1]},
+    {"rhs": "lambert", "delta": None},
+])
+def test_malformed_problem_record_exits_2(tmp_path, capsys, record):
+    # well-formed JSON of the wrong shape or types is a bad argument too
+    rec = tmp_path / "prob.json"
+    rec.write_text(json.dumps(record))
+    assert main(["adaptive", "--problem", str(rec), "--p", "2", "--tol", "1e-6",
+                 "--tau0", "0.1", "--out", str(tmp_path / "o.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_bad_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

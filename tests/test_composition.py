@@ -127,8 +127,8 @@ def test_at_most_one_upper_right_root(p, seed):
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(p=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
 def test_fraction_equation_vanishes_at_the_root(p, seed):
-    # the uncleared equation the ratio bound solves has the root the
-    # cleared alpha1_polynomial gives, and its partials are its slopes
+    # the equation both Newton iterations solve vanishes at the selected
+    # root, and its partials are its slopes
     r = draw_ratios(np.random.default_rng(seed), p)
     try:
         a = solve_alpha1(r)
@@ -142,6 +142,43 @@ def test_fraction_equation_vanishes_at_the_root(p, seed):
     ds = (f(a, r, 1.0 + h)[0] - f(a, r, 1.0 - h)[0]) / (2 * h)
     assert abs(da - Fa) <= 1e-6 * (1.0 + abs(Fa))
     assert abs(ds - Fs) <= 1e-6 * (1.0 + abs(Fs))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(p=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+def test_alpha1_polynomial_clears_the_fraction_equation(p, seed):
+    # the companion matrix's polynomial is F(a; 1) times prod_{j>=2} (a + r_j)
+    rng = np.random.default_rng(seed)
+    r = draw_ratios(rng, p)
+    a = complex(rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0))
+    poly = alpha1_polynomial(r)
+    got = np.polynomial.polynomial.polyval(a, poly)
+    want = composition._fraction_equation(a, r, 1.0)[0] * np.prod([a + rv for rv in r[1:]])
+    scale = np.polynomial.polynomial.polyval(abs(a), np.abs(poly))
+    assert abs(got - want) <= 1e-12 * scale
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(p=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+def test_solve_alpha1_matches_a_40_digit_root(p, seed):
+    # whichever route found it, the fraction is F's root to the last bits
+    mpmath = pytest.importorskip("mpmath")
+    r = draw_ratios(np.random.default_rng(seed), p)
+    try:
+        a1 = solve_alpha1(r)
+    except NoAdmissibleRoot:
+        assume(False)
+    with mpmath.workdps(40):
+        c = [mpmath.mpf(rv) for rv in r]
+        root = mpmath.findroot(
+            lambda a: (1 - a) ** 2 * sum(a / (a + cj) for cj in c) + a * a + c[-1] * a,
+            mpmath.mpc(a1))
+        assert abs(a1 - complex(root)) <= 1e-15 * abs(a1)
+
+
+def test_newton_root_gives_up_on_a_pole():
+    # a start on a pole of F hands the ladder to the companion matrix
+    assert composition._newton_root((0j, 1 + 0j), 0j) is None
 
 
 def test_crossing_ratio_without_a_crossing_raises():
@@ -160,7 +197,7 @@ def _outcome(fn, r):
 
 def _companion_alpha1(r):
     # solve_alpha1 with its Newton iteration refused, so the companion rule picks
-    with mock.patch.object(composition, "_newton_root", lambda coeffs, z: None):
+    with mock.patch.object(composition, "_newton_root", lambda r, z: None):
         return solve_alpha1(r)
 
 
