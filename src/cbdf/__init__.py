@@ -15,7 +15,6 @@ from .adaptivity import (
 from .bdf_core import (
     HistoryWindow,
     ImplicitSolveConfig,
-    bdf_step,
     coeff_fixed,
     coeff_variable,
     g_closed_form,
@@ -54,7 +53,6 @@ __all__ = [
     "coeff_variable",
     "g_closed_form",
     "predictor_weights",
-    "bdf_step",
     "CompositionSetup",
     "ComposedStepOutput",
     "ratios_from_window",

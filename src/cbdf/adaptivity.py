@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .composition import build_setup, composed_step, crossing_ratio, ratios_from_window
+from .composition import build_setup, composed_solve, crossing_ratio, ratios_from_window
 from .errors import NoConvergence
 from .problems import ODEProblem, bootstrap
 
@@ -138,30 +138,31 @@ def adaptive_drive(
     tau = float(tau0)
     rec = TrajectoryRecord([], [], [], [], [])
     t = window.times[-1].real
-    for _ in range(_MAX_STEPS):
-        if t >= t_end - 1e-14 * max(1.0, abs(t_end)):
-            return rec
-        setup = build_setup(ratios_from_window(window, tau))
-        window, out = composed_step(problem.rhs, window, tau, setup)
-        t = window.times[-1].real
-        rec.times.append(t)
-        rec.states.append(out.y_real)
-        rec.error_estimates.append(out.error_estimate)
-        rec.alpha1s.append(setup.alpha1)
-        rec.taus.append(tau)
-        e_n = out.error_estimate
-        if clamps:
-            tau_next = next_step(tau, e_n, ctl)
-            remaining = t_end - t
-            # land exactly on t_end only when the shortened step keeps the consecutive
-            # ratio admissible; otherwise the last step ends past t_end by less than its length
-            if _TAU_FLOOR < remaining < tau_next and remaining >= tau / ctl.ell:
-                tau_next = remaining
-        else:
-            if e_n == 0.0:
-                tau_next = tau * 10.0
+    with np.errstate(all="ignore"):
+        for _ in range(_MAX_STEPS):
+            if t >= t_end - 1e-14 * max(1.0, abs(t_end)):
+                return rec
+            setup = build_setup(ratios_from_window(window, tau))
+            window, out = composed_solve(problem.rhs, window, tau, setup)
+            t = window.times[-1].real
+            rec.times.append(t)
+            rec.states.append(out.y_real)
+            rec.error_estimates.append(out.error_estimate)
+            rec.alpha1s.append(setup.alpha1)
+            rec.taus.append(tau)
+            e_n = out.error_estimate
+            if clamps:
+                tau_next = next_step(tau, e_n, ctl)
+                remaining = t_end - t
+                # land exactly on t_end only when the shortened step keeps the consecutive
+                # ratio admissible; otherwise the last step ends past t_end by less than its length
+                if _TAU_FLOOR < remaining < tau_next and remaining >= tau / ctl.ell:
+                    tau_next = remaining
             else:
-                tau_next = tau * (ctl.tol / e_n) ** (1.0 / (ctl.p + 2))
-            tau_next = max(tau_next, _TAU_FLOOR)
-        tau = tau_next
+                if e_n == 0.0:
+                    tau_next = tau * 10.0
+                else:
+                    tau_next = tau * (ctl.tol / e_n) ** (1.0 / (ctl.p + 2))
+                tau_next = max(tau_next, _TAU_FLOOR)
+            tau = tau_next
     raise NoConvergence(f"exceeded {_MAX_STEPS} steps before reaching t_end = {t_end}")

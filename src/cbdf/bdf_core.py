@@ -1,12 +1,15 @@
 """Backward-difference coefficient generation and the implicit one-step solve.
 
 The implicit step returns the state at one new node and the slope there,
-and a caller that keeps the node shifts its window, slope included. Its
-weights come from the caller: the step weights ``(g_0, g_1..g_p)`` and
-the predictor weights that extrapolate the window, states and newest
-slope, to the new node. ``coeff_fixed`` and ``predictor_weights`` give
-both for a uniform grid, and a composed step passes the two sets of each
-that its ``CompositionSetup`` carries as arrays. A fixed-point sweep from
+and a caller that keeps the node shifts its window, slope included.
+``implicit_solve`` does the work on raw arrays, under an ``np.errstate``
+its caller holds once per step or per run; ``bdf_step`` is its checked
+entry point for one step from a window. Its weights come from the
+caller: the step weights ``(g_0, g_1..g_p)`` and the predictor weights
+that extrapolate the window, states and newest slope, to the new node.
+``coeff_fixed`` and ``predictor_weights`` give both for a uniform grid,
+and a composed step passes the two sets of each that its
+``CompositionSetup`` carries as arrays. A fixed-point sweep from
 the predictor runs while each sweep gains a digit; a slower or diverging
 one hands over to a simplified Newton that builds one finite-difference
 Jacobian and one factorization per solve, refreshing them once if an
@@ -93,7 +96,15 @@ class HistoryWindow:
         states = self.states.copy()
         states[:-1] = self.states[1:]
         states[-1] = y_new
+        return self._shifted(t_new, states, slope)
+
+    def _shifted(self, t_new: complex, states: np.ndarray, slope=None) -> "HistoryWindow":
+        """The window at ``times[1:] + (t_new,)`` over ``states``, a ``[p, d]`` array
+        the caller hands over and this freezes, with a read-only view of ``slope``."""
         states.setflags(write=False)
+        if slope is not None:
+            slope = slope.view()
+            slope.setflags(write=False)
         win = object.__new__(HistoryWindow)
         object.__setattr__(win, "times", self.times[1:] + (complex(t_new),))
         object.__setattr__(win, "states", states)
@@ -296,51 +307,59 @@ def bdf_step(
     the target. Either may be an array, which the step reads as it is, or a
     sequence, which it converts. Returns ``(y, slope)``: the ``[d]`` complex
     state at the target and ``f(target, y)``; the window is left unchanged.
-    A window without a slope gets it from one RHS call at its newest node.
-    The fixed-point sweep starts from the predictor, the window's degree-p
-    extrapolant at the target, and its last RHS value is the slope; once a
-    sweep contracts by less than a factor of ten, or diverges, the solve
-    restarts from the predictor with a simplified Newton, whose slope
-    ``(g_0 y + hist) / tau`` follows from the step's own equation.
+    Checks the weight counts, then runs ``implicit_solve`` under one ``np.errstate``.
     """
     p = len(window.times)
     if len(weights) != p + 1:
         raise ValueError(f"need {p + 1} weights for {p} nodes, got {len(weights)}")
     if len(predictor) != p + 1:
         raise ValueError(f"need {p + 1} predictor weights, got {len(predictor)}")
-    tau = complex(tau)
-    t_last = window.times[-1]
+    with np.errstate(all="ignore"):
+        return implicit_solve(rhs, window.times[-1], window.states, window.slope, complex(tau),
+                              np.asarray(weights), np.asarray(predictor), cfg)
+
+
+def implicit_solve(rhs, t_last, states, slope, tau, weights, predictor,
+                   cfg=ImplicitSolveConfig()) -> tuple:
+    """``bdf_step`` on raw arrays: the ``[p, d]`` history ``states`` ending at
+    node ``t_last``, the ``slope`` there or None (one RHS call), and the two
+    weight arrays. It checks no lengths and its caller holds
+    ``np.errstate(all="ignore")``, so an overflowing sweep hands over to
+    Newton quietly. A step that does not advance real time raises ValueError.
+
+    The fixed-point sweep starts from the predictor, the history's degree-p
+    extrapolant at the target, and its last RHS value is the slope; once a
+    sweep contracts by less than a factor of ten, or diverges, the solve
+    restarts from the predictor with a simplified Newton, whose slope
+    ``(g_0 y + hist) / tau`` follows from the step's own equation.
+    """
     t_new = t_last + tau
     if not t_new.real > t_last.real:
         raise ValueError("step must advance the real part of time")
-    weights = np.asarray(weights)
-    predictor = np.asarray(predictor)
-    slope = window.slope
     if slope is None:
-        slope = rhs(t_last, window.states[-1])
+        slope = rhs(t_last, states[-1])
     g0 = weights[0]
-    hist = weights[:0:-1] @ window.states
-    y_start = predictor[:-1] @ window.states + (predictor[-1] * tau) * slope
+    hist = weights[:0:-1] @ states
+    y_start = predictor[:-1] @ states + (predictor[-1] * tau) * slope
 
     # each sweep is y <- (tau f(y) - hist) / g0, with both quotients taken once
     tau_g0, hist_g0 = tau / g0, hist / g0
     y = y_start
     newton_budget = max(1, cfg.max_iterations // 2)
     prev_step = None
-    with np.errstate(all="ignore"):
-        for _ in range(max(1, cfg.max_iterations - newton_budget)):
-            f = rhs(t_new, y)
-            y_new = tau_g0 * f - hist_g0
-            step = float(np.abs(y_new - y).max())
-            if not math.isfinite(step):
-                break
-            if step < cfg.tol:
-                return y_new, np.array(f, dtype=complex)
-            # a sweep that gains less than one digit hands over to Newton
-            if prev_step is not None and step > 0.1 * prev_step:
-                break
-            prev_step = step
-            y = y_new
+    for _ in range(max(1, cfg.max_iterations - newton_budget)):
+        f = rhs(t_new, y)
+        y_new = tau_g0 * f - hist_g0
+        step = float(np.maximum.reduce(np.abs(y_new - y)))
+        if not math.isfinite(step):
+            break
+        if step < cfg.tol:
+            return y_new, np.array(f, dtype=complex)
+        # a sweep that gains less than one digit hands over to Newton
+        if prev_step is not None and step > 0.1 * prev_step:
+            break
+        prev_step = step
+        y = y_new
 
     def residual(y):
         return g0 * y + hist - tau * np.asarray(rhs(t_new, y), dtype=complex)

@@ -18,7 +18,7 @@ import time
 import numpy as np
 
 from . import adaptivity, composition, problems, stability
-from .bdf_core import MAX_ORDER, bdf_step, coeff_fixed, predictor_weights
+from .bdf_core import MAX_ORDER, coeff_fixed, implicit_solve, predictor_weights
 from .errors import CbdfError, NoAdmissibleRoot, OrderOutOfRange, UnknownProblem
 from .polyroot import find_roots
 from .problems import bootstrap
@@ -56,15 +56,18 @@ def integrate_fixed(problem, scheme: str, p: int, tau: float) -> dict:
     else:
         setup = composition.build_setup(composition.ratios_from_window(window, tau))
     times, states = [], []
-    for _ in range(p, n_total + 1):
-        if scheme == "bdf":
-            y, slope = bdf_step(problem.rhs, window, tau, weights, predictor)
-            window = window.advanced(window.times[-1] + tau, y, slope)
-        else:
-            window, out = composition.composed_step(problem.rhs, window, tau, setup)
-            y = out.y_real
-        times.append(window.times[-1].real)
-        states.append(y)
+    with np.errstate(all="ignore"):
+        for _ in range(p, n_total + 1):
+            if scheme == "bdf":
+                t_last = window.times[-1]
+                y, slope = implicit_solve(problem.rhs, t_last, window.states, window.slope,
+                                          tau, weights, predictor)
+                window = window.advanced(t_last + tau, y, slope)
+            else:
+                window, out = composition.composed_solve(problem.rhs, window, tau, setup)
+                y = out.y_real
+            times.append(window.times[-1].real)
+            states.append(y)
     exact = np.array([problem.exact(t) for t in times])
     errors = np.abs(exact - np.array(states).real).max(axis=1)
     return dict(zip(range(p, n_total + 1), errors.tolist()))

@@ -1,6 +1,8 @@
 """The two-jump composed flow: one base step of complex fraction alpha1,
 then one of 1 - alpha1, whose real output gains one order of accuracy and
-whose imaginary part estimates the local error.
+whose imaginary part estimates the local error. Both sub-steps run on raw
+arrays under one ``np.errstate``; the history the second reads becomes the
+forwarded window's states, so a step builds one window.
 
 The sub-step fraction, the positive-real-part root of an algebraic
 equation in the step ratios, comes from a scalar Newton iteration on
@@ -23,8 +25,8 @@ from .bdf_core import (
     HistoryWindow,
     ImplicitSolveConfig,
     RhsFunction,
-    bdf_step,
     g_closed_form,
+    implicit_solve,
     predictor_weights,
 )
 from .errors import (
@@ -49,16 +51,13 @@ class CompositionSetup:
     error_constant: float
     # (weights, predictor) arrays of each sub-step, as bdf_step takes them: g_0..g_p
     # with the predictor weights of the window's nodes, then G_0..G_p with those of
-    # the intermediate window; each set is in units of its own sub-step
+    # the intermediate history; each set is in units of its own sub-step
     step1: tuple
     step2: tuple
 
     def __post_init__(self):
         if not self.alpha1.real > 0:
             raise ValueError("alpha1 must have positive real part")
-        cond = self.eps[-1] * self.alpha1**2 + self.g[0] * (1.0 - self.alpha1) ** 2
-        if abs(cond) > 1e-9:
-            raise ValueError(f"root condition violated: |residual| = {abs(cond):.3e}")
         if abs(sum(self.G)) > 1e-10 or abs(self.G[-1]) > 1e-9:
             raise ValueError("second-stage weights violate their sum/vanishing constraints")
 
@@ -298,10 +297,14 @@ def build_setup(ratios: Sequence[complex]) -> CompositionSetup:
     """Solve the fraction equation and assemble all per-step constants.
 
     A pure function of the ratios it is given. A caller that steps on a
-    uniform grid builds the setup once and passes it to every step.
+    uniform grid builds the setup once and passes it to every step. Raises
+    ValueError when the root leaves ``_fraction_equation`` above 1e-9.
     """
     r = tuple(map(complex, ratios))
     alpha1, eps, w, G = _admissible_root(r)
+    residual = abs(_fraction_equation(alpha1, r, 1.0)[0])
+    if residual > 1e-9:
+        raise ValueError(f"root condition violated: |residual| = {residual:.3e}")
     g = g_closed_form(eps)
     p = len(r)
     # the window's nodes in units of the step, from t_{n-1} = 0, oldest first
@@ -339,20 +342,32 @@ def composed_step(
     constants for the window's step ratios,
     ``build_setup(ratios_from_window(window, tau))``, including both sub-steps'
     weights and predictors; raises ValueError when its node count differs
-    from the window's.
+    from the window's, and otherwise runs ``composed_solve`` with both
+    sub-steps under one ``np.errstate``.
     """
     if setup.p != window.p:
         raise ValueError(f"setup for {setup.p} nodes, window holds {window.p}")
-    tau = float(tau)
+    with np.errstate(all="ignore"):
+        return composed_solve(rhs, window, float(tau), setup, cfg)
+
+
+def composed_solve(rhs, window, tau, setup, cfg=ImplicitSolveConfig()) -> tuple:
+    """``composed_step`` for a float ``tau`` and a setup of the window's node
+    count; the caller holds ``np.errstate(all="ignore")``. The history the
+    second sub-step reads, ``[states[1:], y_half]``, becomes the forwarded
+    window's states once its newest row holds the real part of the result.
+    """
     t_last = window.times[-1]
     tau1 = setup.alpha1 * tau
-    y_half, f_half = bdf_step(rhs, window, tau1, *setup.step1, cfg)
-    mid_window = window.advanced(t_last + tau1, y_half, f_half)
-    y_hat, f_hat = bdf_step(rhs, mid_window, (t_last + tau) - mid_window.times[-1],
-                            *setup.step2, cfg)
-    y_real = y_hat.real.copy()
-    raw = y_hat.imag.copy()
-    return window.advanced(t_last + tau, y_real, f_hat.real), ComposedStepOutput(
+    t_half = t_last + tau1
+    y_half, f_half = implicit_solve(rhs, t_last, window.states, window.slope, tau1,
+                                    *setup.step1, cfg)
+    states = np.concatenate((window.states[1:], y_half[None]))
+    y_hat, f_hat = implicit_solve(rhs, t_half, states, f_half, (t_last + tau) - t_half,
+                                  *setup.step2, cfg)
+    y_real, raw = y_hat.real, y_hat.imag
+    states[-1] = y_real
+    return window._shifted(t_last + tau, states, f_hat.real), ComposedStepOutput(
         y_real=y_real,
         error_estimate_raw=raw,
         error_estimate=abs(setup.error_constant) * float(np.abs(raw).max()),

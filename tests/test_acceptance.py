@@ -144,32 +144,29 @@ def test_criterion_05_table3(sweep_errors):
             worst_re = max(worst_re, abs(got - ref) / ref)
     # CPU: composed no slower than 3x at equal step. The two schemes are
     # timed in interleaved pairs (so environment noise phases hit both),
-    # each sample loops short runs to a >= 20 ms window, the collector is
-    # paused, and the minimum over rounds estimates the uncontended cost.
+    # each sample loops short runs to a >= 20 ms window of its own, so both
+    # windows are equally exposed to host stalls, the collector is paused,
+    # and the minimum over rounds estimates the uncontended cost.
     import gc
 
     def paired(fn_a, fn_b, rounds=5):
-        best_a = best_b = float("inf")
-        t0 = time.perf_counter()
-        fn_a()
-        est = max(time.perf_counter() - t0, 1e-5)
-        inner = max(1, math.ceil(0.02 / est))
-        fn_b()
+        fns, best, inner = (fn_a, fn_b), [float("inf")] * 2, []
+        for fn in fns:
+            t0 = time.perf_counter()
+            fn()
+            inner.append(max(1, math.ceil(0.02 / max(time.perf_counter() - t0, 1e-5))))
         gc.collect()
         gc.disable()
         try:
             for _ in range(rounds):
-                t0 = time.perf_counter()
-                for _ in range(inner):
-                    fn_a()
-                best_a = min(best_a, (time.perf_counter() - t0) / inner)
-                t0 = time.perf_counter()
-                for _ in range(inner):
-                    fn_b()
-                best_b = min(best_b, (time.perf_counter() - t0) / inner)
+                for k, fn in enumerate(fns):
+                    t0 = time.perf_counter()
+                    for _ in range(inner[k]):
+                        fn()
+                    best[k] = min(best[k], (time.perf_counter() - t0) / inner[k])
         finally:
             gc.enable()
-        return best_a, best_b
+        return best
 
     worst_cpu, worst_cell = 0.0, None
     for order in (2, 3, 4, 5):

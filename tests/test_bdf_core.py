@@ -337,6 +337,28 @@ def test_overflowing_sweep_warns_nothing():
             bdf_step(lambda t, y: -(y**3), window, tau, coeff_fixed(1), predictor)
 
 
+def test_failing_runs_raise_no_warnings():
+    # y' = y^3 from y(0) = 1 is 1/sqrt(1 - 2t), infinite at t = 1/2; and
+    # y' = -y^3 at tau = 5e25 overflows its first sweeps, as in
+    # test_overflowing_sweep_warns_nothing. Both fixed-step schemes stop with
+    # their own error, and the run's errstate keeps numpy's overflow
+    # warnings from reaching the caller
+    from cbdf.cli import integrate_fixed
+    from cbdf.errors import NoConvergence
+    from cbdf.problems import ODEProblem
+
+    blow_up = ODEProblem(lambda t, y: y**3, 0.0, np.array([1.0]), 1.0,
+                         lambda t: np.array([1.0 / np.sqrt(1.0 - 2.0 * t)]), "cubic_blow_up")
+    far = ODEProblem(lambda t, y: -(y**3), 0.0, np.array([1.0]), 1e27,
+                     lambda t: np.array([1.0 / np.sqrt(1.0 + 2.0 * t)]), "cubic_far")
+    for prob, p, tau in ((blow_up, 2, 0.05), (far, 1, 5e25)):
+        for scheme in ("bdf", "composed"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(NoConvergence):
+                    integrate_fixed(prob, scheme, p, tau)
+
+
 def test_fixed_point_stays_in_contraction_regime(monkeypatch):
     # with |lambda*tau/g0| = 0.067 < 0.1 every sweep gains a digit, so the
     # plain sweep reaches the answer without Newton (counted through rhs
@@ -420,13 +442,13 @@ def test_composed_fixed_grid_rhs_budget(monkeypatch):
         calls["rhs"] += 1
         return base.rhs(t, y)
 
-    step = cbdf.composition.bdf_step
+    step = cbdf.composition.implicit_solve
 
     def counted(*args):
         calls["substeps"] += 1
         return step(*args)
 
-    monkeypatch.setattr(cbdf.composition, "bdf_step", counted)
+    monkeypatch.setattr(cbdf.composition, "implicit_solve", counted)
     for p, t_end, bound in ((4, base.t_end, 4.0), (1, 3.0, 4.75)):
         prob = ODEProblem(rhs, base.t0, base.y0, t_end, base.exact, base.name)
         calls.update(rhs=0, substeps=0)
@@ -435,23 +457,23 @@ def test_composed_fixed_grid_rhs_budget(monkeypatch):
 
 
 def _count_slope_evaluations(monkeypatch, modules):
-    """Patch ``bdf_step`` in ``modules`` and return ``(rhs wrapper, counts)``.
+    """Patch ``implicit_solve`` in ``modules`` and return ``(rhs wrapper, counts)``.
 
-    The wrapper counts RHS calls at the newest node of the window that the
-    running step extends: a step only evaluates there when its window has
-    no slope, since every sweep and Newton call is at the new node.
+    The wrapper counts RHS calls at the newest history node of the running
+    solve: a solve only evaluates there when it is handed no slope, since
+    every sweep and Newton call is at the new node.
     """
     counts = {"slope": 0, "rhs": 0}
     newest = [None]
 
     def watch(step):
-        def watched(rhs, window, *args):
-            newest[0] = window.times[-1]
-            return step(rhs, window, *args)
+        def watched(rhs, t_last, *args):
+            newest[0] = t_last
+            return step(rhs, t_last, *args)
         return watched
 
     for module in modules:
-        monkeypatch.setattr(module, "bdf_step", watch(module.bdf_step))
+        monkeypatch.setattr(module, "implicit_solve", watch(module.implicit_solve))
 
     def wrap(fn):
         def rhs(t, y):

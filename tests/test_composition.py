@@ -279,6 +279,22 @@ def test_build_setup_keeps_the_ratios_it_was_given():
         assert s.alpha1 == solve_alpha1(r)
 
 
+def test_build_setup_rejects_a_root_off_the_fraction_equation(monkeypatch):
+    # a root one part in a million off leaves F(alpha1) near 1e-6, above
+    # the 1e-9 bound; the true root passes
+    r = tuple(map(complex, uniform_ratios(3)))
+    true = composition._admissible_root(r)[0]
+    for z, ok in ((true, True), (true * (1 + 1e-6), False)):
+        eps, w = composition._offsets(z, r)
+        G = composition._G_from_offsets(z, eps, w)
+        monkeypatch.setattr(composition, "_admissible_root", lambda _r: (z, eps, w, G))
+        if ok:
+            assert build_setup(r).alpha1 == true
+        else:
+            with pytest.raises(ValueError, match="root condition"):
+                build_setup(r)
+
+
 def test_G_trailing_weight_vanishes_at_root():
     for p in range(1, 7):
         r = uniform_ratios(p)
@@ -394,22 +410,67 @@ def test_composed_step_forwards_slopes():
             assert np.abs(again.y_real - fresh.y_real).max() <= 1e-12
 
 
-def test_composed_step_shifts_two_windows(monkeypatch):
-    # one shift for the intermediate window, one for the forwarded window
-    shifts = []
-    advanced = HistoryWindow.advanced
+def test_composed_step_substep_nodes_and_forwarded_times():
+    # the first sub-step solves at the intermediate node t + alpha1 tau, the
+    # second at the real node t + tau, which the forwarded window ends at
+    cubic = lambda t, y: -(y**3)
+    calls = []
 
-    def counted(self, t_new, y_new, slope=None):
-        shifts.append(t_new)
-        return advanced(self, t_new, y_new, slope)
+    def rhs(t, y):
+        calls.append(t)
+        return cubic(t, y)
 
-    monkeypatch.setattr(HistoryWindow, "advanced", counted)
+    base = window_cubic(3, 0.1)
+    window = HistoryWindow(base.times, base.states, cubic(base.times[-1], base.states[-1]))
+    setup = build_setup(ratios_from_window(window, 0.1))
+    new, _ = composed_step(rhs, window, 0.1, setup)
+    t_last = window.times[-1]
+    nodes = (t_last + setup.alpha1 * 0.1, t_last + 0.1)
+    assert (calls[0], calls[-1]) == nodes and set(calls) == set(nodes)
+    assert new.times == window.times[1:] + (nodes[1],)
+
+
+def test_composed_step_is_two_bdf_steps():
+    # bit for bit: bdf_step with setup.step1 from the window, then with
+    # setup.step2 from the window shifted by the intermediate state
+    rhs = lambda t, y: -(y**3)
+    for p in (1, 2, 4):
+        for tau in (1 / 160, 0.05):
+            window = window_cubic(p, tau)
+            setup = build_setup(ratios_from_window(window, tau))
+            new, out = composed_step(rhs, window, tau, setup)
+            t_last = window.times[-1]
+            y_half, f_half = bdf_step(rhs, window, setup.alpha1 * tau, *setup.step1)
+            mid = window.advanced(t_last + setup.alpha1 * tau, y_half, f_half)
+            y_hat, f_hat = bdf_step(rhs, mid, (t_last + tau) - mid.times[-1], *setup.step2)
+            assert np.array_equal(out.y_real, y_hat.real)
+            assert np.array_equal(out.error_estimate_raw, y_hat.imag)
+            assert np.array_equal(new.states, np.vstack((window.states[1:], y_hat.real)))
+            assert np.array_equal(new.slope, f_hat.real)
+
+
+def test_composed_step_output_does_not_alias_the_window():
+    window = window_cubic(2, 0.1)
+    setup = build_setup(ratios_from_window(window, 0.1))
+    new, out = composed_step(lambda t, y: -(y**3), window, 0.1, setup)
+    kept = new.states.copy()
+    out.y_real[:] = 7.0
+    assert np.array_equal(new.states, kept)
+
+
+def test_stepped_windows_are_read_only():
+    rhs = lambda t, y: -(y**3)
     window = window_cubic(3, 0.1)
     setup = build_setup(ratios_from_window(window, 0.1))
-    new, _ = composed_step(lambda t, y: -(y**3), window, 0.1, setup)
-    assert len(shifts) == 2
-    assert shifts[0] == window.times[-1] + setup.alpha1 * 0.1
-    assert new.times[-1] == shifts[1]
+    stepped, _ = composed_step(rhs, window, 0.1, setup)
+    y, slope = bdf_step(rhs, window, 0.1, *step_weights(window, 0.1))
+    shifted = window.advanced(window.times[-1] + 0.1, y, slope)
+    for new in (stepped, shifted):
+        for field in (new.states, new.slope):
+            assert not field.flags.writeable
+            with pytest.raises(ValueError):
+                field[0] = 0.0
+    assert slope.flags.writeable  # the caller's array is left as it was
 
 
 def test_composed_step_rejects_setup_of_other_order():
