@@ -9,11 +9,16 @@ caller: the step weights ``(g_0, g_1..g_p)`` and the predictor weights
 that extrapolate the window, states and newest slope, to the new node.
 ``coeff_fixed`` and ``predictor_weights`` give both for a uniform grid,
 and a composed step passes the two sets of each that its
-``CompositionSetup`` carries as arrays. A fixed-point sweep from
-the predictor runs while each sweep gains a digit; a slower or diverging
-one hands over to a simplified Newton that builds one finite-difference
-Jacobian and one factorization per solve, refreshing them once if an
-increment fails to shrink.
+``CompositionSetup`` carries as arrays. Until a run first needs Newton,
+a fixed-point sweep from the predictor runs while each sweep gains a
+digit; a slower or diverging one hands over to a simplified Newton, which
+builds the RHS Jacobian J = df/dy by finite differences, d RHS calls.
+The window keeps J from then on, like its slope, and every later solve
+skips the sweep: Newton starts from the predictor on the solve's own
+matrix ``g_0 I - tau J``, inverted once per solve. J is rebuilt at the
+current iterate when an increment shrinks by less than a factor of a
+hundred; after that, an increment that fails to shrink raises
+NoConvergence.
 ``coeff_variable`` builds the weight tuple of any distinct, possibly
 complex, node set from divided-difference products; it is the reference
 the closed forms are checked against, and no step calls it.
@@ -38,6 +43,7 @@ from .errors import (
 from .polyroot import solve_dense
 
 MAX_ORDER = 8
+_SINGULAR_RTOL = 1e-8  # of the Newton matrix's terms, see _newton_operator
 
 RhsFunction = Callable[[complex, np.ndarray], np.ndarray]
 
@@ -50,12 +56,15 @@ class HistoryWindow:
     copies whatever sequence of states it is given. ``slope`` is the
     derivative ``f(times[-1], states[-1])``, a ``[d]`` complex array, or
     None when the window does not know it; a step from a window without
-    one evaluates it with one RHS call.
+    one evaluates it with one RHS call. ``jac`` is the RHS Jacobian
+    ``df/dy`` that the run keeps, a read-only ``[d, d]`` complex array
+    built near some earlier state, or None until a solve has needed one.
     """
 
     times: tuple
     states: np.ndarray
     slope: Optional[np.ndarray] = None
+    jac: Optional[np.ndarray] = None
 
     def __post_init__(self):
         times = tuple(complex(t) for t in self.times)
@@ -81,34 +90,47 @@ class HistoryWindow:
                 raise ValueError("slope must have the shape of a state")
             slope.setflags(write=False)
             object.__setattr__(self, "slope", slope)
+        if self.jac is not None:
+            jac = np.array(self.jac, dtype=complex)
+            if jac.shape != rows[0].shape * 2:
+                raise ValueError("jac must be a square matrix of the state's size")
+            jac.setflags(write=False)
+            object.__setattr__(self, "jac", jac)
 
     @property
     def p(self) -> int:
         return len(self.times)
 
-    def advanced(self, t_new: complex, y_new, slope=None) -> "HistoryWindow":
+    def advanced(self, t_new: complex, y_new, slope=None, jac=None) -> "HistoryWindow":
         """Drop the oldest node and append (t_new, y_new), in a fresh array.
 
-        ``slope`` is the derivative at the new node, or None. Skips
+        ``slope`` is the derivative at the new node, or None, and ``jac`` the
+        Jacobian to keep, as ``implicit_solve`` returns it, or None. Skips
         re-validation: shifting a valid window by a forward node preserves
         every invariant.
         """
         states = self.states.copy()
         states[:-1] = self.states[1:]
         states[-1] = y_new
-        return self._shifted(t_new, states, slope)
+        return self._shifted(t_new, states, slope, jac)
 
-    def _shifted(self, t_new: complex, states: np.ndarray, slope=None) -> "HistoryWindow":
+    def _shifted(self, t_new: complex, states: np.ndarray, slope=None, jac=None) -> "HistoryWindow":
         """The window at ``times[1:] + (t_new,)`` over ``states``, a ``[p, d]`` array
-        the caller hands over and this freezes, with a read-only view of ``slope``."""
+        the caller hands over and this freezes, with read-only views of ``slope``
+        and ``jac``."""
         states.setflags(write=False)
         if slope is not None:
             slope = slope.view()
             slope.setflags(write=False)
+        # a kept Jacobian passes from window to window already frozen
+        if jac is not None and jac.flags.writeable:
+            jac = jac.view()
+            jac.setflags(write=False)
         win = object.__new__(HistoryWindow)
         object.__setattr__(win, "times", self.times[1:] + (complex(t_new),))
         object.__setattr__(win, "states", states)
         object.__setattr__(win, "slope", slope)
+        object.__setattr__(win, "jac", jac)
         return win
 
 
@@ -117,8 +139,9 @@ class ImplicitSolveConfig:
     """Stopping rule and iteration budget for the implicit solve.
 
     Newton gets ``max(1, max_iterations // 2)`` iterations and the sweep
-    the rest, but at least one: one each at ``max_iterations = 1``. Every
-    production step uses the defaults.
+    the rest, but at least one: one each at ``max_iterations = 1``. A solve
+    from a window that keeps a Jacobian runs no sweep, and Newton's share
+    stays the same. Every production step uses the defaults.
     """
 
     tol: float = 1e-13
@@ -245,49 +268,86 @@ def g_closed_form(eps: Sequence[complex]) -> tuple:
     return tuple(weights)
 
 
-def _inverse_jacobian(residual, y, res):
-    """Invert the finite-difference Jacobian of ``residual`` at ``y``."""
+def _jacobian(rhs, t, y, f):
+    """Finite-difference Jacobian of ``rhs`` at ``(t, y)``, where it is ``f``: d RHS calls."""
     d = y.shape[0]
     jac = np.empty((d, d), dtype=complex)
     for i in range(d):
         h = 1e-7 * (1.0 + abs(y[i]))
         yp = y.copy()
         yp[i] += h
-        jac[:, i] = (residual(yp) - res) / h
+        jac[:, i] = (rhs(t, yp) - f) / h
+    return jac
+
+
+def _newton_operator(g0, tau, hist, jac):
+    """``(B, c)``, ``tau M^-1`` and ``M^-1 hist``, for the Newton matrix ``M = g0 I - tau J``.
+
+    A Newton iterate is then ``y <- B (f(y) - J y) - c``; with J = 0 it is
+    the sweep. A finite-difference J carries roundoff near 1e-9 of its
+    entries, so M counts as singular once its inverse exceeds
+    ``1 / _SINGULAR_RTOL`` over the scale of its two terms, ``g0`` and
+    ``tau J``: their difference may be pure roundoff.
+    """
+    eye = np.eye(jac.shape[0])
+    tau_jac = tau * jac
+    scale = max(abs(g0), float(np.maximum.reduce(np.abs(tau_jac), axis=None)))
     try:
-        return solve_dense(jac, np.eye(d))
+        inv = solve_dense(g0 * eye - tau_jac, eye)
     except SingularMatrix as exc:
         raise SingularJacobian(str(exc)) from exc
+    size = float(np.maximum.reduce(np.abs(inv), axis=None))
+    if size * scale > 1.0 / _SINGULAR_RTOL:
+        raise SingularJacobian(
+            f"newton matrix inverse {size:.3e} above 1 / ({_SINGULAR_RTOL:.0e} * {scale:.3e})"
+        )
+    return tau * inv, inv @ hist
 
 
-def _newton(residual, y0, tol: float, budget: int, t_new: complex):
-    """Simplified Newton: one Jacobian and one factorization for the solve.
+def _newton(rhs, t_new, y, f, g0, hist, tau, jac, tol: float, budget: int):
+    """Simplified Newton from ``y``, where the RHS is ``f``, on ``g0 I - tau J``.
 
-    Each iteration costs one residual and one mat-vec. The first increment
-    that fails to shrink refreshes the Jacobian once, at the current
-    iterate; a second failure or an exhausted budget raises NoConvergence.
+    ``jac`` is the RHS Jacobian the caller keeps, or None to build one at
+    ``y``. Each iteration costs one RHS call and two mat-vecs. The
+    iteration stops once an increment is below ``tol`` or, from the second
+    on, once the error its contraction rate predicts is. The first
+    increment that shrinks by less than a factor of a hundred rebuilds J at
+    the current iterate; after that an increment that fails to shrink, or
+    an exhausted budget, raises NoConvergence. Returns the solution and the
+    J it ended with.
     """
-    y = np.array(y0, dtype=complex)
-    res = residual(y)
-    inv = _inverse_jacobian(residual, y, res)
+    if jac is None:
+        jac = _jacobian(rhs, t_new, y, f)
+    B, c = _newton_operator(g0, tau, hist, jac)
     refreshed = False
     prev_size = math.inf
-    for _ in range(budget):
-        delta = inv @ res
-        size = float(np.abs(delta).max())
-        if not size < prev_size:
-            if refreshed:
-                break
+    for k in range(1, budget + 1):
+        y_new = B @ (f - jac @ y) - c
+        size = float(np.maximum.reduce(np.abs(y_new - y)))
+        # near the solution a current J gains far more than two digits an
+        # iteration; a slower one is stale, and one rebuild costs less than
+        # the iterations it saves
+        if not refreshed and not size < 0.01 * prev_size:
             refreshed = True
-            inv = _inverse_jacobian(residual, y, res)
-            delta = inv @ res
-            size = float(np.abs(delta).max())
-        y = y - delta
-        if size < tol:
-            return y
+            jac = _jacobian(rhs, t_new, y, f)
+            B, c = _newton_operator(g0, tau, hist, jac)
+            y_new = B @ (f - jac @ y) - c
+            size = float(np.maximum.reduce(np.abs(y_new - y)))
+        elif refreshed and not size < prev_size:
+            raise NoConvergence(
+                f"newton stopped at iteration {k} of {budget} at t={t_new}: the increment "
+                f"{size:.3e} did not shrink after the Jacobian refresh"
+            )
+        y = y_new
+        # done once the increment, or the error its rate r predicts, r/(1-r) * size, is below tol
+        if size < tol or (prev_size < math.inf and size * size < tol * (prev_size - size)):
+            return y, jac
         prev_size = size
-        res = residual(y)
-    raise NoConvergence(f"newton did not converge in {budget} iterations at t={t_new}")
+        f = rhs(t_new, y)
+    raise NoConvergence(
+        f"newton stopped at iteration {budget} of {budget} at t={t_new}: the iteration "
+        f"budget ran out"
+    )
 
 
 def bdf_step(
@@ -307,7 +367,9 @@ def bdf_step(
     the target. Either may be an array, which the step reads as it is, or a
     sequence, which it converts. Returns ``(y, slope)``: the ``[d]`` complex
     state at the target and ``f(target, y)``; the window is left unchanged.
-    Checks the weight counts, then runs ``implicit_solve`` under one ``np.errstate``.
+    A window that keeps a Jacobian lends it to the solve, which then starts
+    with Newton. Checks the weight counts, then runs ``implicit_solve`` under
+    one ``np.errstate``.
     """
     p = len(window.times)
     if len(weights) != p + 1:
@@ -315,22 +377,29 @@ def bdf_step(
     if len(predictor) != p + 1:
         raise ValueError(f"need {p + 1} predictor weights, got {len(predictor)}")
     with np.errstate(all="ignore"):
-        return implicit_solve(rhs, window.times[-1], window.states, window.slope, complex(tau),
-                              np.asarray(weights), np.asarray(predictor), cfg)
+        y, slope, _ = implicit_solve(rhs, window.times[-1], window.states, window.slope,
+                                     window.jac, complex(tau), np.asarray(weights),
+                                     np.asarray(predictor), cfg)
+    return y, slope
 
 
-def implicit_solve(rhs, t_last, states, slope, tau, weights, predictor,
+def implicit_solve(rhs, t_last, states, slope, jac, tau, weights, predictor,
                    cfg=ImplicitSolveConfig()) -> tuple:
     """``bdf_step`` on raw arrays: the ``[p, d]`` history ``states`` ending at
-    node ``t_last``, the ``slope`` there or None (one RHS call), and the two
-    weight arrays. It checks no lengths and its caller holds
-    ``np.errstate(all="ignore")``, so an overflowing sweep hands over to
-    Newton quietly. A step that does not advance real time raises ValueError.
+    node ``t_last``, the ``slope`` there or None (one RHS call), the kept RHS
+    Jacobian ``jac`` or None, and the two weight arrays. Returns
+    ``(y, slope, jac)``, the last the Jacobian to keep: the one handed in, a
+    rebuilt one, or None while no solve has needed one. It checks no lengths
+    and its caller holds ``np.errstate(all="ignore")``, so an overflowing
+    sweep hands over to Newton quietly. A step that does not advance real
+    time raises ValueError.
 
-    The fixed-point sweep starts from the predictor, the history's degree-p
-    extrapolant at the target, and its last RHS value is the slope; once a
-    sweep contracts by less than a factor of ten, or diverges, the solve
-    restarts from the predictor with a simplified Newton, whose slope
+    Without a Jacobian, a fixed-point sweep starts from the predictor, the
+    history's degree-p extrapolant at the target, and its last RHS value is
+    the slope; once a sweep contracts by less than a factor of ten, or
+    diverges, the solve restarts from the predictor with a simplified Newton
+    that builds J there, reusing the sweep's first RHS value. With a
+    Jacobian, Newton starts from the predictor at once. Newton's slope
     ``(g_0 y + hist) / tau`` follows from the step's own equation.
     """
     t_new = t_last + tau
@@ -341,28 +410,28 @@ def implicit_solve(rhs, t_last, states, slope, tau, weights, predictor,
     g0 = weights[0]
     hist = weights[:0:-1] @ states
     y_start = predictor[:-1] @ states + (predictor[-1] * tau) * slope
+    f_start = rhs(t_new, y_start)
 
     # each sweep is y <- (tau f(y) - hist) / g0, with both quotients taken once
     tau_g0, hist_g0 = tau / g0, hist / g0
-    y = y_start
     newton_budget = max(1, cfg.max_iterations // 2)
-    prev_step = None
-    for _ in range(max(1, cfg.max_iterations - newton_budget)):
-        f = rhs(t_new, y)
-        y_new = tau_g0 * f - hist_g0
-        step = float(np.maximum.reduce(np.abs(y_new - y)))
-        if not math.isfinite(step):
-            break
-        if step < cfg.tol:
-            return y_new, np.array(f, dtype=complex)
-        # a sweep that gains less than one digit hands over to Newton
-        if prev_step is not None and step > 0.1 * prev_step:
-            break
-        prev_step = step
-        y = y_new
+    if jac is None:
+        y, f = y_start, f_start
+        prev_step = None
+        for k in range(max(1, cfg.max_iterations - newton_budget)):
+            if k:
+                f = rhs(t_new, y)
+            y_new = tau_g0 * f - hist_g0
+            step = float(np.maximum.reduce(np.abs(y_new - y)))
+            if not math.isfinite(step):
+                break
+            if step < cfg.tol:
+                return y_new, np.array(f, dtype=complex), None
+            # a sweep that gains less than one digit hands over to Newton
+            if prev_step is not None and step > 0.1 * prev_step:
+                break
+            prev_step = step
+            y = y_new
 
-    def residual(y):
-        return g0 * y + hist - tau * np.asarray(rhs(t_new, y), dtype=complex)
-
-    y = _newton(residual, y_start, cfg.tol, newton_budget, t_new)
-    return y, (y + hist_g0) / tau_g0
+    y, jac = _newton(rhs, t_new, y_start, f_start, g0, hist, tau, jac, cfg.tol, newton_budget)
+    return y, (y + hist_g0) / tau_g0, jac

@@ -60,9 +60,9 @@ def integrate_fixed(problem, scheme: str, p: int, tau: float) -> dict:
         for _ in range(p, n_total + 1):
             if scheme == "bdf":
                 t_last = window.times[-1]
-                y, slope = implicit_solve(problem.rhs, t_last, window.states, window.slope,
-                                          tau, weights, predictor)
-                window = window.advanced(t_last + tau, y, slope)
+                y, slope, jac = implicit_solve(problem.rhs, t_last, window.states, window.slope,
+                                               window.jac, tau, weights, predictor)
+                window = window.advanced(t_last + tau, y, slope, jac)
             else:
                 window, out = composition.composed_solve(problem.rhs, window, tau, setup)
                 y = out.y_real

@@ -360,14 +360,14 @@ def composed_solve(rhs, window, tau, setup, cfg=ImplicitSolveConfig()) -> tuple:
     t_last = window.times[-1]
     tau1 = setup.alpha1 * tau
     t_half = t_last + tau1
-    y_half, f_half = implicit_solve(rhs, t_last, window.states, window.slope, tau1,
-                                    *setup.step1, cfg)
+    y_half, f_half, jac = implicit_solve(rhs, t_last, window.states, window.slope, window.jac,
+                                         tau1, *setup.step1, cfg)
     states = np.concatenate((window.states[1:], y_half[None]))
-    y_hat, f_hat = implicit_solve(rhs, t_half, states, f_half, (t_last + tau) - t_half,
-                                  *setup.step2, cfg)
+    y_hat, f_hat, jac = implicit_solve(rhs, t_half, states, f_half, jac,
+                                       (t_last + tau) - t_half, *setup.step2, cfg)
     y_real, raw = y_hat.real, y_hat.imag
     states[-1] = y_real
-    return window._shifted(t_last + tau, states, f_hat.real), ComposedStepOutput(
+    return window._shifted(t_last + tau, states, f_hat.real, jac), ComposedStepOutput(
         y_real=y_real,
         error_estimate_raw=raw,
         error_estimate=abs(setup.error_constant) * float(np.abs(raw).max()),

@@ -38,6 +38,12 @@ def _uniform_stage_weights(p: int):
     return setup.alpha1, setup.g, setup.G[: p + 1]
 
 
+@lru_cache(maxsize=None)
+def _bdf_weights(order: int) -> tuple:
+    """BDF weights of one order, built once from ``coeff_fixed``'s exact rationals."""
+    return coeff_fixed(order)
+
+
 def theta_coefficients(p: int, z: complex) -> tuple:
     """Recurrence weights of the composed flow on y' = lambda*y at z = tau*lambda.
 
@@ -67,7 +73,7 @@ def _char_rows(order: int, z: np.ndarray, scheme: str) -> np.ndarray:
     if scheme == "bdf":
         if not 1 <= order <= 6:
             raise OrderOutOfRange(f"bdf order must be in 1..6, got {order}")
-        g = coeff_fixed(order)
+        g = _bdf_weights(order)
         rows = np.empty((z.size, order + 1), dtype=complex)
         rows[:, 0] = g[0] - z
         for i in range(1, order + 1):

@@ -156,6 +156,23 @@ def test_window_slope_is_a_checked_read_only_copy():
         HistoryWindow((0.0,), (np.ones(2),), np.ones(3))
 
 
+def test_window_jac_is_a_checked_read_only_copy():
+    jac = -np.eye(2)
+    window = HistoryWindow((0.0,), (np.ones(2),), jac=jac)
+    jac[0, 0] = 9.0
+    assert window.jac.dtype == complex and not window.jac.flags.writeable
+    assert np.array_equal(window.jac, -np.eye(2))
+    assert HistoryWindow((0.0,), (np.ones(2),)).jac is None
+    with pytest.raises(ValueError, match="jac"):
+        HistoryWindow((0.0,), (np.ones(2),), jac=np.ones(2))
+    # a shift hands the Jacobian it is given on read-only, and drops it without one
+    fresh = np.ones((2, 2), dtype=complex)
+    shifted = window.advanced(1.0, np.zeros(2), jac=fresh)
+    assert np.array_equal(shifted.jac, fresh) and not shifted.jac.flags.writeable
+    assert fresh.flags.writeable
+    assert window.advanced(1.0, np.zeros(2)).jac is None
+
+
 def test_advanced_writes_a_fresh_array():
     window = HistoryWindow((0.0, 1.0), (np.array([1.0, 2.0]), np.array([3.0, 4.0])))
     before = window.states.copy()
@@ -323,6 +340,24 @@ def test_no_convergence_budget():
         bdf_step(lambda t, y: -(y**3) * 40.0, window, 0.9, *step_weights(window, 0.9), cfg)
 
 
+def test_no_convergence_names_its_cause():
+    # one Newton iteration on y' = -40 y^3 runs out of budget; the implicit
+    # Euler step of y' = y^3 at tau = 0.6 solves y - 0.6 y^3 = 1, whose one
+    # real root, -1.638, lies beyond the hump between it and the predictor
+    # 1.6, so the increment stops shrinking once the Jacobian is rebuilt
+    from cbdf.errors import NoConvergence
+
+    window = HistoryWindow((0.0,), (np.array([1.0 + 0j]),))
+    cases = (
+        (lambda t, y: -40.0 * y**3, 0.9, 1, r"iteration 1 of 1 .*budget ran out"),
+        (lambda t, y: y**3, 0.6, 200, r"iteration 4 of 100 .*did not shrink after the Jacobian"),
+    )
+    for rhs, tau, iterations, cause in cases:
+        cfg = ImplicitSolveConfig(max_iterations=iterations)
+        with pytest.raises(NoConvergence, match=cause):
+            bdf_step(rhs, window, tau, coeff_fixed(1), predictor_weights((0.0,), tau), cfg)
+
+
 def test_overflowing_sweep_warns_nothing():
     # a sweep at tau = 5e25 overflows cubing its iterate; the step must fail
     # with its own error, not leak numpy's overflow warning to the caller
@@ -390,17 +425,23 @@ def test_fixed_point_stays_in_contraction_regime(monkeypatch):
     log_ratio=st.floats(-3.0, 3.0),
     angle=st.floats(0.5 * np.pi, 1.5 * np.pi),
     seed=st.integers(0, 2**32 - 1),
+    jac_scale=st.sampled_from([None, 1.0]) | st.floats(0.5, 2.0),
 )
-@example(p=4, log_ratio=-2.0, angle=np.pi, seed=0)  # |lambda tau/g0| < 0.1: the sweep
-@example(p=4, log_ratio=2.0, angle=0.6 * np.pi, seed=0)  # > 1: Newton
-def test_bdf_step_linear_closed_form(p, log_ratio, angle, seed):
-    # y' = lambda y makes the implicit equation linear: y = -hist/(g0 - tau lambda)
+@example(p=4, log_ratio=-2.0, angle=np.pi, seed=0, jac_scale=None)  # |lambda tau/g0| < 0.1: sweep
+@example(p=4, log_ratio=2.0, angle=0.6 * np.pi, seed=0, jac_scale=None)  # > 1: Newton
+@example(p=4, log_ratio=2.0, angle=0.6 * np.pi, seed=0, jac_scale=1.0)  # Newton on the exact J
+@example(p=4, log_ratio=2.0, angle=np.pi, seed=0, jac_scale=0.5)  # a stale J: rebuilt
+@example(p=4, log_ratio=-2.0, angle=np.pi, seed=0, jac_scale=2.0)  # Newton, where a sweep would do
+def test_bdf_step_linear_closed_form(p, log_ratio, angle, seed, jac_scale):
+    # y' = lambda y makes the implicit equation linear: y = -hist/(g0 - tau lambda);
+    # the window keeps no Jacobian, the exact one, or one scaled by jac_scale
     weights = coeff_fixed(p)
     g0 = weights[0].real
     z = g0 * 10.0**log_ratio * np.exp(1j * angle)  # tau*lambda with tau = 1
     rng = np.random.default_rng(seed)
     states = tuple(rng.uniform(-1, 1, 2) + 1j * rng.uniform(-1, 1, 2) for _ in range(p))
-    window = HistoryWindow(tuple(float(j) for j in range(p)), states)
+    jac = None if jac_scale is None else jac_scale * z * np.eye(2)
+    window = HistoryWindow(tuple(float(j) for j in range(p)), states, jac=jac)
     hist = sum(w * s for w, s in zip(weights[1:], reversed(states)))
     expect = -hist / (g0 - z)
     scale = np.abs(expect).max()
