@@ -285,21 +285,23 @@ def _newton_operator(g0, tau, hist, jac):
 
     A Newton iterate is then ``y <- B (f(y) - J y) - c``; with J = 0 it is
     the sweep. A finite-difference J carries roundoff near 1e-9 of its
-    entries, so M counts as singular once its inverse exceeds
-    ``1 / _SINGULAR_RTOL`` over the scale of its two terms, ``g0`` and
-    ``tau J``: their difference may be pure roundoff.
+    entries, so a row of M may be pure roundoff where ``g0`` and ``tau J``
+    cancel. M counts as singular once its inverse, with each row of M
+    scaled by the size of its terms, ``|g0| + sum_j |tau J_ij|``, exceeds
+    ``1 / _SINGULAR_RTOL``; a stiff row far from the others scales itself.
     """
     eye = np.eye(jac.shape[0])
     tau_jac = tau * jac
-    scale = max(abs(g0), float(np.maximum.reduce(np.abs(tau_jac), axis=None)))
     try:
         inv = solve_dense(g0 * eye - tau_jac, eye)
     except SingularMatrix as exc:
         raise SingularJacobian(str(exc)) from exc
-    size = float(np.maximum.reduce(np.abs(inv), axis=None))
-    if size * scale > 1.0 / _SINGULAR_RTOL:
+    # (D^-1 M)^-1 = M^-1 D scales column j of the inverse by row j's terms
+    size = float(np.maximum.reduce(np.abs(inv) * (abs(g0) + np.abs(tau_jac).sum(axis=1)),
+                                   axis=None))
+    if size > 1.0 / _SINGULAR_RTOL:
         raise SingularJacobian(
-            f"newton matrix inverse {size:.3e} above 1 / ({_SINGULAR_RTOL:.0e} * {scale:.3e})"
+            f"row-scaled newton matrix inverse {size:.3e} above 1 / {_SINGULAR_RTOL:.0e}"
         )
     return tau * inv, inv @ hist
 
@@ -309,8 +311,9 @@ def _newton(rhs, t_new, y, f, g0, hist, tau, jac, tol: float, budget: int):
 
     ``jac`` is the RHS Jacobian the caller keeps, or None to build one at
     ``y``. Each iteration costs one RHS call and two mat-vecs. The
-    iteration stops once an increment is below ``tol`` or, from the second
-    on, once the error its contraction rate predicts is. The first
+    iteration stops once an increment is below ``tol`` or once the error
+    that the contraction rate of two increments made with the same J
+    predicts is; the increment right after a rebuild has no rate. The first
     increment that shrinks by less than a factor of a hundred rebuilds J at
     the current iterate; after that an increment that fails to shrink, or
     an exhausted budget, raises NoConvergence. Returns the solution and the
@@ -324,6 +327,8 @@ def _newton(rhs, t_new, y, f, g0, hist, tau, jac, tol: float, budget: int):
     for k in range(1, budget + 1):
         y_new = B @ (f - jac @ y) - c
         size = float(np.maximum.reduce(np.abs(y_new - y)))
+        # the rate of the last two increments, when one J made both
+        base = prev_size
         # near the solution a current J gains far more than two digits an
         # iteration; a slower one is stale, and one rebuild costs less than
         # the iterations it saves
@@ -333,6 +338,7 @@ def _newton(rhs, t_new, y, f, g0, hist, tau, jac, tol: float, budget: int):
             B, c = _newton_operator(g0, tau, hist, jac)
             y_new = B @ (f - jac @ y) - c
             size = float(np.maximum.reduce(np.abs(y_new - y)))
+            base = math.inf
         elif refreshed and not size < prev_size:
             raise NoConvergence(
                 f"newton stopped at iteration {k} of {budget} at t={t_new}: the increment "
@@ -340,7 +346,7 @@ def _newton(rhs, t_new, y, f, g0, hist, tau, jac, tol: float, budget: int):
             )
         y = y_new
         # done once the increment, or the error its rate r predicts, r/(1-r) * size, is below tol
-        if size < tol or (prev_size < math.inf and size * size < tol * (prev_size - size)):
+        if size < tol or (base < math.inf and size * size < tol * (base - size)):
             return y, jac
         prev_size = size
         f = rhs(t_new, y)

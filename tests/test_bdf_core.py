@@ -13,6 +13,7 @@ from cbdf.bdf_core import (
     coeff_fixed,
     coeff_variable,
     g_closed_form,
+    implicit_solve,
     predictor_weights,
 )
 from cbdf.errors import DuplicateEps, DuplicateNode, OrderOutOfRange
@@ -329,6 +330,43 @@ def test_singular_jacobian():
     cfg = ImplicitSolveConfig(tol=1e-13, max_iterations=40)
     with pytest.raises(SingularJacobian):
         bdf_step(lambda t, y: (g0 / 1.0) * y, window, 1.0, *step_weights(window, 1.0), cfg)
+
+
+def test_stiff_rows_are_not_singular():
+    # tau J = diag(-1e10, 0) makes M = diag(1 + 1e10, 1) regular, though its
+    # inverse is large against its largest term: each row of M is judged
+    # against its own terms; the step solves from no J and from the exact one
+    lam = np.array([-1e10, 0.0])
+    window = HistoryWindow((0.0,), (np.array([1.0, 2.0]),))
+    expect = np.array([1.0 / (1.0 + 1e10), 2.0])
+    weights = (coeff_fixed(1), predictor_weights((0.0,), 1.0))
+    for w in (window, HistoryWindow(window.times, window.states, jac=np.diag(lam))):
+        y, _ = bdf_step(lambda t, y: lam * y, w, 1.0, *weights)
+        assert np.abs(y - expect).max() <= 1e-13
+
+
+def test_stale_kept_jacobian_is_rebuilt(monkeypatch):
+    # a kept J at half the true one: the first two increments hardly shrink,
+    # so Newton rebuilds J at its iterate, one more matrix, and the next
+    # increments, made with the rebuilt J alone, meet tol
+    import cbdf.bdf_core
+
+    matrices = []
+
+    def counted(a, b):
+        matrices.append(a)
+        return solve_dense(a, b)
+
+    monkeypatch.setattr(cbdf.bdf_core, "solve_dense", counted)
+    lam, tau = -1e3, 0.1
+    cfg = ImplicitSolveConfig(tol=1e-10)
+    weights = np.array(coeff_fixed(1)), np.array(predictor_weights((0.0,), tau))
+    with np.errstate(all="ignore"):
+        y, _, jac = implicit_solve(lambda t, y: lam * y, 0j, np.ones((1, 1), dtype=complex), None,
+                                   np.array([[0.5 * lam + 0j]]), complex(tau), *weights, cfg)
+    assert len(matrices) == 2
+    assert abs(jac[0, 0] - lam) <= 1e-6 * abs(lam)
+    assert abs(y[0] - 1.0 / (1.0 - tau * lam)) <= cfg.tol
 
 
 def test_no_convergence_budget():

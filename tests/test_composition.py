@@ -13,6 +13,7 @@ from cbdf.bdf_core import (
     bdf_step,
     coeff_variable,
     g_closed_form,
+    implicit_solve,
     predictor_weights,
 )
 from cbdf.composition import (
@@ -431,15 +432,15 @@ def test_composed_step_substep_nodes_and_forwarded_times():
 
 
 def test_composed_step_is_two_bdf_steps():
-    # bit for bit: bdf_step with setup.step1 from the window, then with
-    # setup.step2 from the window shifted by the intermediate state
-    # the shifted window keeps the window's Jacobian, which neither sub-step
-    # rebuilds here; without one, the sweeps converge at tau = 1/160 (at
-    # tau = 0.05 and p = 1 the first call builds a J, which bdf_step does
-    # not return, for the second)
+    # bit for bit: the implicit solve with setup.step1 from the window, then
+    # bdf_step with setup.step2 from the window shifted by the intermediate
+    # state and the Jacobian the first solve returned; the sweeps converge
+    # at tau = 1/160, while at tau = 0.05 a window without a Jacobian hands
+    # over to Newton, which builds one for the second sub-step
     rhs = lambda t, y: -(y**3)
+    built = 0
     for p in (1, 2, 4):
-        for tau, kept in ((1 / 160, False), (1 / 160, True), (0.05, True)):
+        for tau, kept in ((1 / 160, False), (1 / 160, True), (0.05, False), (0.05, True)):
             window = window_cubic(p, tau)
             if kept:
                 window = HistoryWindow(window.times, window.states,
@@ -447,14 +448,20 @@ def test_composed_step_is_two_bdf_steps():
             setup = build_setup(ratios_from_window(window, tau))
             new, out = composed_step(rhs, window, tau, setup)
             t_last = window.times[-1]
-            y_half, f_half = bdf_step(rhs, window, setup.alpha1 * tau, *setup.step1)
-            mid = window.advanced(t_last + setup.alpha1 * tau, y_half, f_half, window.jac)
+            with np.errstate(all="ignore"):
+                y_half, f_half, jac = implicit_solve(rhs, t_last, window.states, window.slope,
+                                                     window.jac, setup.alpha1 * tau, *setup.step1)
+            built += window.jac is None and jac is not None
+            mid = window.advanced(t_last + setup.alpha1 * tau, y_half, f_half, jac)
             y_hat, f_hat = bdf_step(rhs, mid, (t_last + tau) - mid.times[-1], *setup.step2)
             assert np.array_equal(out.y_real, y_hat.real)
             assert np.array_equal(out.error_estimate_raw, y_hat.imag)
             assert np.array_equal(new.states, np.vstack((window.states[1:], y_hat.real)))
             assert np.array_equal(new.slope, f_hat.real)
-            assert new.jac is window.jac
+            assert (new.jac is None) == (jac is None) and np.array_equal(new.jac, mid.jac)
+            if kept:
+                assert new.jac is window.jac
+    assert built
 
 
 def test_composed_step_output_does_not_alias_the_window():
