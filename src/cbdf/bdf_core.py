@@ -313,14 +313,21 @@ def _newton(rhs, t_new, y, f, g0, hist, tau, jac, tol: float, budget: int):
     ``y``. Each iteration costs one RHS call and two mat-vecs. The
     iteration stops once an increment is below ``tol`` or once the error
     that the contraction rate of two increments made with the same J
-    predicts is; the increment right after a rebuild has no rate. The first
-    increment that shrinks by less than a factor of a hundred rebuilds J at
-    the current iterate; after that an increment that fails to shrink, or
-    an exhausted budget, raises NoConvergence. Returns the solution and the
-    J it ended with.
+    predicts is; the increment right after a rebuild has no rate. J is
+    rebuilt once, at the current iterate: a J kept from an earlier solve at
+    the first increment that shrinks by less than a factor of a hundred, a J
+    built here at the first that fails to shrink. After the rebuild an
+    increment that fails to shrink, or an exhausted budget, raises
+    NoConvergence. Returns the solution and the J it ended with.
     """
+    # near the solution a current J gains far more than two digits an
+    # iteration, so a kept J that gains less is stale, and one rebuild costs
+    # less than the iterations it saves; a J built here is current, though
+    # its first increments may shrink slowly
+    stale_rate = 0.01
     if jac is None:
         jac = _jacobian(rhs, t_new, y, f)
+        stale_rate = 1.0
     B, c = _newton_operator(g0, tau, hist, jac)
     refreshed = False
     prev_size = math.inf
@@ -329,10 +336,7 @@ def _newton(rhs, t_new, y, f, g0, hist, tau, jac, tol: float, budget: int):
         size = float(np.maximum.reduce(np.abs(y_new - y)))
         # the rate of the last two increments, when one J made both
         base = prev_size
-        # near the solution a current J gains far more than two digits an
-        # iteration; a slower one is stale, and one rebuild costs less than
-        # the iterations it saves
-        if not refreshed and not size < 0.01 * prev_size:
+        if not refreshed and not size < stale_rate * prev_size:
             refreshed = True
             jac = _jacobian(rhs, t_new, y, f)
             B, c = _newton_operator(g0, tau, hist, jac)

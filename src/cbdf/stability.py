@@ -4,6 +4,8 @@ scaled eigenvalue z, rasterized stability regions, and sector angles.
 A point is stable when no root of the one-step recurrence polynomial has
 magnitude above 1 + 1e-9. A Schur-Cohn recursion classifies points with no
 roots computed, on a coefficient-major array: each pass runs along the points.
+Rasters are classified in blocks of ``_BLOCK`` points, so a raster's memory is
+one block's passes plus its [nx, ny] mask, whatever the grid size.
 """
 from __future__ import annotations
 
@@ -20,6 +22,13 @@ from .errors import EmptySector, OrderOutOfRange
 _ABS_TOL = 1e-9  # slack on the unit-disk root-magnitude bound
 _RAY_RADII = np.logspace(-3.0, 3.0, 200)
 _THETA_TOL = 0.05
+# Raster points per classification block: at order 9 a block's passes hold
+# [10, B] complex arrays of 0.6 MiB, about three live at once, so 4096 is the
+# largest power of two that stays in one core's 2 MiB L2 on the 2-vCPU Xeon
+# measured. Blocks of 1024..8192 all ran order-9 rasters faster than the
+# whole array (152 against 437 ms at 601^2 for 4096); 8192 was about 10 %
+# faster still, but spills L2 and doubles the traced peak to 5.4 MiB.
+_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -118,7 +127,13 @@ def region_raster(
     ny: int,
     scheme: str = "composed",
 ) -> StabilityRegion:
-    """Rasterize the stability set over a rectangle, cell-center sampling."""
+    """Rasterize the stability set over a rectangle, cell-center sampling.
+
+    The raveled grid is classified ``_BLOCK`` points at a time, each block's
+    z values built when its turn comes, so memory is O(block) plus the mask.
+    Every Schur-Cohn operation acts on one point, so the mask does not depend
+    on the block size.
+    """
     if nx < 2 or ny < 2:
         raise ValueError("nx and ny must be at least 2")
     xmin, xmax, ymin, ymax = (float(v) for v in bounds)
@@ -128,10 +143,12 @@ def region_raster(
         raise ValueError(f"need finite bounds and spans, xmin < xmax, ymin < ymax; got {bounds!r}")
     xs = xmin + (np.arange(nx) + 0.5) * dx
     ys = ymin + (np.arange(ny) + 0.5) * dy
-    zz = xs[:, None] + 1j * ys[None, :]
-    rows = _char_rows(order, zz.ravel(), scheme)
-    mask = _stable_mask(rows).reshape(nx, ny)
-    return StabilityRegion((xmin, xmax, ymin, ymax), mask)
+    n = nx * ny
+    mask = np.empty(n, dtype=bool)
+    for start in range(0, n, _BLOCK):
+        ix, iy = np.divmod(np.arange(start, min(start + _BLOCK, n)), ny)
+        mask[start : start + _BLOCK] = _stable_mask(_char_rows(order, xs[ix] + 1j * ys[iy], scheme))
+    return StabilityRegion((xmin, xmax, ymin, ymax), mask.reshape(nx, ny))
 
 
 def _rays_stable(order: int, scheme: str, theta_deg: float) -> bool:
@@ -167,13 +184,14 @@ def region_to_csv(region: StabilityRegion, path) -> None:
     nx, ny = region.mask.shape
     dx = (xmax - xmin) / nx
     dy = (ymax - ymin) / ny
+    # each coordinate is formatted once, then shared by its row or column
+    res = [f"{xmin + (ix + 0.5) * dx:.16e}," for ix in range(nx)]
     with open(path, "w", newline="") as fh:
         fh.write("re_z,im_z,stable\n")
         for iy in range(ny - 1, -1, -1):
-            im = ymin + (iy + 0.5) * dy
-            for ix in range(nx):
-                re = xmin + (ix + 0.5) * dx
-                fh.write(f"{re:.16e},{im:.16e},{int(region.mask[ix, iy])}\n")
+            im = f"{ymin + (iy + 0.5) * dy:.16e},"
+            flags = region.mask[:, iy].tolist()
+            fh.write("".join([re + im + ("1\n" if b else "0\n") for re, b in zip(res, flags)]))
 
 
 def region_to_pbm(region: StabilityRegion, path) -> None:
@@ -183,4 +201,4 @@ def region_to_pbm(region: StabilityRegion, path) -> None:
         fh.write("P1\n")
         fh.write(f"{nx} {ny}\n")
         for iy in range(ny - 1, -1, -1):
-            fh.write(" ".join(str(int(region.mask[ix, iy])) for ix in range(nx)) + "\n")
+            fh.write(" ".join(["1" if b else "0" for b in region.mask[:, iy].tolist()]) + "\n")

@@ -369,6 +369,22 @@ def test_stale_kept_jacobian_is_rebuilt(monkeypatch):
     assert abs(y[0] - 1.0 / (1.0 - tau * lam)) <= cfg.tol
 
 
+def test_jacobian_built_in_the_solve_is_rebuilt_only_when_an_increment_grows():
+    # implicit Euler on y' = -a y^3 from y = 2.9149: the sweep diverges, Newton
+    # builds J at the predictor, and its first increments shrink by less than
+    # a factor of a hundred on the way in; a J built in the solve is current,
+    # so none of them rebuilds it, and the solve meets tol at the real root
+    a, y0, tau, tol = 2.4787, 2.9149, 0.08597, 1.3e-7
+    window = HistoryWindow((0.0,), (np.array([y0 + 0j]),))
+    y, _ = bdf_step(lambda t, y: -a * y**3, window, tau, coeff_fixed(1),
+                    predictor_weights((0.0,), tau), ImplicitSolveConfig(tol=tol))
+    # y + a tau y^3 = y0 is increasing in y, so its real root is unique
+    root = max(r.real for r in np.roots([a * tau, 0.0, 1.0, -y0]) if abs(r.imag) < 1e-9)
+    for _ in range(3):
+        root -= (root + a * tau * root**3 - y0) / (1.0 + 3.0 * a * tau * root**2)
+    assert abs(y[0] - root) <= tol
+
+
 def test_no_convergence_budget():
     from cbdf.errors import NoConvergence
 
@@ -382,13 +398,14 @@ def test_no_convergence_names_its_cause():
     # one Newton iteration on y' = -40 y^3 runs out of budget; the implicit
     # Euler step of y' = y^3 at tau = 0.6 solves y - 0.6 y^3 = 1, whose one
     # real root, -1.638, lies beyond the hump between it and the predictor
-    # 1.6, so the increment stops shrinking once the Jacobian is rebuilt
+    # 1.6: Newton's increments shrink for four iterations, the fifth grows and
+    # rebuilds J at 0.608, and the sixth, from 2.19, grows again
     from cbdf.errors import NoConvergence
 
     window = HistoryWindow((0.0,), (np.array([1.0 + 0j]),))
     cases = (
         (lambda t, y: -40.0 * y**3, 0.9, 1, r"iteration 1 of 1 .*budget ran out"),
-        (lambda t, y: y**3, 0.6, 200, r"iteration 4 of 100 .*did not shrink after the Jacobian"),
+        (lambda t, y: y**3, 0.6, 200, r"iteration 6 of 100 .*did not shrink after the Jacobian"),
     )
     for rhs, tau, iterations, cause in cases:
         cfg = ImplicitSolveConfig(max_iterations=iterations)

@@ -1,5 +1,6 @@
 """Stability polynomial, region rasters, and sector angles."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from cbdf.bdf_core import coeff_variable
 from cbdf.composition import solve_alpha1
 from cbdf.errors import EmptySector
 from cbdf.stability import (
+    _BLOCK,
     _RAY_RADII,
     _char_rows,
     _rays_stable,
@@ -152,6 +154,33 @@ def test_raster_matches_pointwise():
         for iy, y in enumerate((-0.5, 0.5)):
             assert region.mask[ix, iy] == _stable_at(3, complex(x, y))
     assert region.mask.any() and not region.mask.all()
+    # blocked rasters against one whole-array classification of every point:
+    # grids below one block, and grids of several blocks with a partial last
+    bounds = (-9.0, 3.0, -7.0, 8.0)
+    for nx, ny in ((5, 3), (40, 61), (97, 131), (64, 128)):
+        xs = bounds[0] + (np.arange(nx) + 0.5) * (bounds[1] - bounds[0]) / nx
+        ys = bounds[2] + (np.arange(ny) + 0.5) * (bounds[3] - bounds[2]) / ny
+        z = (xs[:, None] + 1j * ys[None, :]).ravel()
+        for scheme, order in (("composed", 3), ("composed", 9), ("bdf", 6)):
+            whole = _stable_mask(_char_rows(order, z, scheme)).reshape(nx, ny)
+            region = region_raster(order, bounds, nx, ny, scheme=scheme)
+            assert np.array_equal(region.mask, whole), (nx, ny, scheme, order)
+    assert 97 * 131 % _BLOCK and 97 * 131 > 2 * _BLOCK and 40 * 61 < _BLOCK
+
+
+def test_raster_memory_is_bounded():
+    # a raster's traced peak is one block's passes plus the [nx, ny] mask,
+    # so it does not grow with the grid (classifying all 160,801 points of
+    # this raster in one batch peaks near 100 MiB)
+    bounds = (-8.0, 8.0, -8.0, 8.0)
+    region_raster(9, bounds, 401, 401)
+    tracemalloc.start()
+    try:
+        region_raster(9, bounds, 401, 401)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2**20
 
 
 @pytest.mark.parametrize("bounds", [
@@ -238,3 +267,20 @@ def test_csv_and_pbm_export(tmp_path):
     again = tmp_path / "r2.csv"
     region_to_csv(region_raster(3, (-1.0, 1.0, -1.0, 1.0), 3, 2), again)
     assert again.read_bytes() == csv_path.read_bytes()
+    # a raster of several blocks: both files equal lines built cell by cell
+    bounds, nx, ny = (-6.0, 2.5, -4.0, 5.0), 71, 60
+    assert nx * ny > _BLOCK
+    region = region_raster(6, bounds, nx, ny)
+    dx, dy = (bounds[1] - bounds[0]) / nx, (bounds[3] - bounds[2]) / ny
+    want_csv, want_pbm = ["re_z,im_z,stable"], ["P1", f"{nx} {ny}"]
+    for iy in range(ny - 1, -1, -1):
+        im = bounds[2] + (iy + 0.5) * dy
+        cells = [int(region.mask[ix, iy]) for ix in range(nx)]
+        want_csv += [f"{bounds[0] + (ix + 0.5) * dx:.16e},{im:.16e},{c}"
+                     for ix, c in enumerate(cells)]
+        want_pbm.append(" ".join(str(c) for c in cells))
+    region_to_csv(region, csv_path)
+    region_to_pbm(region, pbm_path)
+    assert csv_path.read_bytes() == ("\n".join(want_csv) + "\n").encode()
+    assert pbm_path.read_bytes() == ("\n".join(want_pbm) + "\n").encode()
+    assert region.mask.any() and not region.mask.all()
