@@ -18,7 +18,8 @@ skips the sweep: Newton starts from the predictor on the solve's own
 matrix ``g_0 I - tau J``, inverted once per solve. J is rebuilt at the
 current iterate when an increment shrinks by less than a factor of a
 hundred; after that, an increment that fails to shrink raises
-NoConvergence.
+NoConvergence. A solve handed a kept J that fails so is retried once as a
+solve without one: Newton from the predictor, with J built there.
 ``coeff_variable`` builds the weight tuple of any distinct, possibly
 complex, node set from divided-difference products; it is the reference
 the closed forms are checked against, and no step calls it.
@@ -409,7 +410,8 @@ def implicit_solve(rhs, t_last, states, slope, jac, tau, weights, predictor,
     the slope; once a sweep contracts by less than a factor of ten, or
     diverges, the solve restarts from the predictor with a simplified Newton
     that builds J there, reusing the sweep's first RHS value. With a
-    Jacobian, Newton starts from the predictor at once. Newton's slope
+    Jacobian, Newton starts from the predictor at once, and if it raises
+    NoConvergence, runs once more as that Newton without one. Newton's slope
     ``(g_0 y + hist) / tau`` follows from the step's own equation.
     """
     t_new = t_last + tau
@@ -443,5 +445,11 @@ def implicit_solve(rhs, t_last, states, slope, jac, tau, weights, predictor,
             prev_step = step
             y = y_new
 
-    y, jac = _newton(rhs, t_new, y_start, f_start, g0, hist, tau, jac, cfg.tol, newton_budget)
+    try:
+        y, jac = _newton(rhs, t_new, y_start, f_start, g0, hist, tau, jac, cfg.tol, newton_budget)
+    except NoConvergence:
+        if jac is None:
+            raise
+        # a kept J can spend its one rebuild far from the root: build J here
+        y, jac = _newton(rhs, t_new, y_start, f_start, g0, hist, tau, None, cfg.tol, newton_budget)
     return y, (y + hist_g0) / tau_g0, jac

@@ -45,21 +45,13 @@ class CompositionSetup:
 
     p: int
     alpha1: complex
-    eps: tuple
-    g: tuple  # first-stage weights g_0..g_p, for the offsets eps
-    G: tuple  # second-stage weights G_0..G_{p+1}; G_0..G_p drive the second sub-step
     error_constant: float
-    # (weights, predictor) arrays of each sub-step, as bdf_step takes them: g_0..g_p
-    # with the predictor weights of the window's nodes, then G_0..G_p with those of
-    # the intermediate history; each set is in units of its own sub-step
+    # (weights, predictor) arrays of each sub-step, as bdf_step takes them: the
+    # first-stage weights g_0..g_p with the predictor weights of the window's
+    # nodes, then the second-stage weights G_0..G_p with those of the
+    # intermediate history; each set is in units of its own sub-step
     step1: tuple
     step2: tuple
-
-    def __post_init__(self):
-        if not self.alpha1.real > 0:
-            raise ValueError("alpha1 must have positive real part")
-        if abs(sum(self.G)) > 1e-10 or abs(self.G[-1]) > 1e-9:
-            raise ValueError("second-stage weights violate their sum/vanishing constraints")
 
 
 @dataclass(frozen=True)
@@ -317,9 +309,6 @@ def build_setup(ratios: Sequence[complex]) -> CompositionSetup:
     return CompositionSetup(
         p=p,
         alpha1=alpha1,
-        eps=eps,
-        g=g,
-        G=G,
         error_constant=_error_constant(alpha1, w, g, G),
         step1=(rows[:q], rows[2 * q:3 * q]),
         step2=(rows[q:2 * q], rows[3 * q:]),

@@ -385,6 +385,31 @@ def test_jacobian_built_in_the_solve_is_rebuilt_only_when_an_increment_grows():
     assert abs(y[0] - root) <= tol
 
 
+@pytest.mark.parametrize("scale", (1.0, 1.2, 1.5, 1.73))
+def test_kept_jacobian_that_fails_is_retried_without_it(scale):
+    # the solve of the test above, handed a kept J at 1-1.73 times the J at
+    # the root: from the far predictor (-2.36) its increments shrink slowly,
+    # so it spends its one rebuild far from the root and the next increment
+    # grows; the solve then retries as a solve without a J, from the
+    # predictor with J built there, and meets tol like the solve without one
+    a, y0, tau, tol = 2.4787, 2.9149, 0.08597, 1.3e-7
+    root = max(r.real for r in np.roots([a * tau, 0.0, 1.0, -y0]) if abs(r.imag) < 1e-9)
+    for _ in range(3):
+        root -= (root + a * tau * root**3 - y0) / (1.0 + 3.0 * a * tau * root**2)
+    window = HistoryWindow((0.0,), (np.array([y0 + 0j]),), jac=[[-3.0 * a * root**2 * scale]])
+    y, _ = bdf_step(lambda t, y: -a * y**3, window, tau, coeff_fixed(1),
+                    predictor_weights((0.0,), tau), ImplicitSolveConfig(tol=tol))
+    assert abs(y[0] - root) <= tol
+
+
+@pytest.mark.parametrize("tau", (0.0, -0.1, 0.5j, -0.1 + 0.2j, -0.0 - 1j))
+def test_step_that_does_not_advance_time_is_refused(tau):
+    window = HistoryWindow((0.0, 0.1), (np.array([1.0 + 0j]), np.array([0.9 + 0j])))
+    with pytest.raises(ValueError, match="step must advance the real part of time"):
+        bdf_step(lambda t, y: -y, window, tau, coeff_fixed(2),
+                 predictor_weights(window.times, window.times[-1] + 0.1))
+
+
 def test_no_convergence_budget():
     from cbdf.errors import NoConvergence
 

@@ -78,6 +78,19 @@ def test_stability_angle_output(capsys):
     code, out, _ = run_cli(capsys, "stability", "--order", "2", "--angle")
     assert code == 0
     assert out.strip() == "90.000"
+    # the boundary-locus angle: unstable points at |z| near 2 on the rays at
+    # 81.603 degrees put it below the 81.628 a ray bisection over 200 radii gave
+    code, out, _ = run_cli(capsys, "stability", "--order", "5", "--angle")
+    assert code == 0
+    assert out.strip() == "81.598"
+
+
+def test_stability_empty_sector_exits_3(capsys):
+    # composed order 9 is unstable at z = -1: EmptySector, a solver failure
+    code, out, err = run_cli(capsys, "stability", "--order", "9", "--angle")
+    assert code == 3
+    assert out == ""
+    assert "EmptySector" in err
 
 
 def test_stability_raster_files(tmp_path):

@@ -375,6 +375,15 @@ def test_composed_step_p1_closed_form():
     assert abs(out.error_estimate_raw[0]) < 1e-12
 
 
+@pytest.mark.parametrize("tau", (0.0, -0.1))
+def test_composed_step_that_does_not_advance_time_is_refused(tau):
+    # the first sub-step, of alpha1 * tau with Re alpha1 > 0, does not advance
+    window = window_cubic(2, 0.1)
+    setup = build_setup(uniform_ratios(2))
+    with pytest.raises(ValueError, match="step must advance the real part of time"):
+        composed_step(lambda t, y: -(y**3), window, tau, setup)
+
+
 def test_composed_step_forwards_real_window():
     window = window_cubic(2, 0.1)
     setup = build_setup(ratios_from_window(window, 0.1))
@@ -629,13 +638,10 @@ def test_stage_equivalence(rng):
             first = coeff_variable(times, s.alpha1)
             # the second window's newest node is the intermediate one
             second = coeff_variable(times[1:] + (s.alpha1,), 1.0)
-            for got, ref in ((s.g, first), (s.G[: p + 1], second)):
+            for (got, _), ref in ((s.step1, first), (s.step2, second)):
                 assert len(got) == len(ref) == p + 1
                 scale = max(1.0, max(abs(v) for v in ref))
                 assert max(abs(a - b) for a, b in zip(got, ref)) <= 1e-9 * scale
-            # the arrays the sub-steps read hold the same weights
-            for (weights, _), ref in ((s.step1, s.g), (s.step2, s.G[: p + 1])):
-                assert np.array_equal(weights, ref)
             # the predictor weights, built in units of the step, are those
             # of the sub-steps' own nodes on a shifted and scaled time axis
             t0, tau = 2.5, 0.03
@@ -683,10 +689,13 @@ def test_setup_invariants(rng):
     for p in range(1, 7):
         r = uniform_ratios(p)
         s = build_setup(r)
-        assert abs(s.eps[-1] * s.alpha1**2 + s.g[0] * (1.0 - s.alpha1) ** 2) <= 1e-9
+        eps_p = 1.0 + r[-1] / s.alpha1
+        assert abs(eps_p * s.alpha1**2 + s.step1[0][0] * (1.0 - s.alpha1) ** 2) <= 1e-9
         assert s.alpha1.real > 0
-        assert abs(sum(s.G)) <= 1e-10
-        assert abs(s.G[-1]) <= 1e-9
+        G = G_coefficients(s.alpha1, r)
+        assert np.array_equal(s.step2[0], G[: p + 1])
+        assert abs(sum(G)) <= 1e-10
+        assert abs(G[-1]) <= 1e-9
 
 
 def test_degenerate_denominator():
