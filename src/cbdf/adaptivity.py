@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .composition import build_setup, composed_solve, crossing_ratio, ratios_from_window
+from .composition import build_setup, composed_solve, crossing_ratio, ratios_from_times
 from .errors import NoConvergence
 from .problems import ODEProblem, bootstrap
 
@@ -127,9 +127,10 @@ def adaptive_drive(
     rescale rule (growth capped at x10 when the estimate is zero), which
     can demand an inadmissible ratio and raise NoAdmissibleRoot. A run that
     does not land ends past t_end, by less than its last step. The history
-    starts from the exact solution; a run that needs more than 500,000
-    steps raises NoConvergence. A p other than ``ctl.p``, or a tau0 not
-    positive and finite, raises ValueError.
+    starts from the exact solution, in p rows of one [p + 1, d] buffer: each
+    step leaves its state in the last row, and then the rows shift by one. A
+    run that needs more than 500,000 steps raises NoConvergence. A p other
+    than ``ctl.p``, or a tau0 not positive and finite, raises ValueError.
     """
     if p != ctl.p:
         raise ValueError(f"base order {p} differs from the controller's order {ctl.p}")
@@ -137,20 +138,23 @@ def adaptive_drive(
     window = bootstrap(problem, p, tau0, policy="exact")
     tau = float(tau0)
     rec = TrajectoryRecord([], [], [], [], [])
-    t = window.times[-1].real
+    times, rows = list(window.times), np.concatenate((window.states, window.states[-1:]))
+    slope, jac, t = window.slope, window.jac, times[-1].real
     with np.errstate(all="ignore"):
         for _ in range(_MAX_STEPS):
             if t >= t_end - 1e-14 * max(1.0, abs(t_end)):
                 return rec
-            setup = build_setup(ratios_from_window(window, tau))
-            window, out = composed_solve(problem.rhs, window, tau, setup)
-            t = window.times[-1].real
+            setup = build_setup(ratios_from_times(times, tau))
+            y_hat, slope, jac = composed_solve(problem.rhs, times[-1], rows, slope, jac, tau, setup)
+            rows[:-1] = rows[1:]
+            times = times[1:] + [times[-1] + tau]
+            t = times[-1].real
+            e_n = setup.error_estimate(y_hat.imag)
             rec.times.append(t)
-            rec.states.append(out.y_real)
-            rec.error_estimates.append(out.error_estimate)
+            rec.states.append(y_hat.real)
+            rec.error_estimates.append(e_n)
             rec.alpha1s.append(setup.alpha1)
             rec.taus.append(tau)
-            e_n = out.error_estimate
             if clamps:
                 tau_next = next_step(tau, e_n, ctl)
                 remaining = t_end - t

@@ -1,7 +1,7 @@
 """Backward-difference coefficient generation and the implicit one-step solve.
 
-The implicit step returns the state at one new node and the slope there,
-and a caller that keeps the node shifts its window, slope included.
+The implicit step returns the state at one new node and the slope there;
+a run stores each state in one array whose rows later steps read as views.
 ``implicit_solve`` does the work on raw arrays, under an ``np.errstate``
 its caller holds once per step or per run; ``bdf_step`` is its checked
 entry point for one step from a window. Its weights come from the

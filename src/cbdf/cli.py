@@ -36,12 +36,19 @@ def _load_problem(name: str) -> problems.ODEProblem:
 
 
 def integrate_fixed(problem, scheme: str, p: int, tau: float) -> dict:
-    """Fixed-step run with exact bootstrap; returns {step index: error}.
+    """The max-norm errors of ``fixed_states`` against the exact solution: {step index: error}."""
+    times, states = fixed_states(problem, scheme, p, tau)
+    errors = np.abs(np.array([problem.exact(t) for t in times]) - states.real).max(axis=1)
+    return dict(zip(range(p, p + len(times)), errors.tolist()))
 
-    The composed scheme of base order p carries p history points and has
-    order p + 1. A step ``tau`` that is not positive and finite, or that
-    leaves fewer than p steps on the interval, raises ValueError. The
-    errors are taken in one pass after the last step.
+
+def fixed_states(problem, scheme: str, p: int, tau: float) -> tuple:
+    """Fixed-step run with exact bootstrap: ``(times, states)``, the real times of
+    steps p..n_total and a view of their states. The composed scheme of base
+    order p carries p history points and has order p + 1. A step ``tau`` that is
+    not positive and finite, or that leaves fewer than p steps on the interval,
+    raises ValueError. Step i reads rows i..i+p-1 of one run-long state array
+    and writes row i+p.
     """
     if scheme not in ("bdf", "composed"):
         raise ValueError(f"unknown scheme {scheme!r}")
@@ -55,22 +62,20 @@ def integrate_fixed(problem, scheme: str, p: int, tau: float) -> dict:
         predictor = np.array(predictor_weights(tuple(range(1 - p, 1)), 1.0))
     else:
         setup = composition.build_setup(composition.ratios_from_window(window, tau))
-    times, states = [], []
+    Y = np.empty((n_total + 1,) + window.states.shape[1:], dtype=complex)
+    Y[:p] = window.states
+    t, slope, jac, times = window.times[-1], window.slope, window.jac, []
     with np.errstate(all="ignore"):
-        for _ in range(p, n_total + 1):
+        for i in range(n_total + 1 - p):
             if scheme == "bdf":
-                t_last = window.times[-1]
-                y, slope, jac = implicit_solve(problem.rhs, t_last, window.states, window.slope,
-                                               window.jac, tau, weights, predictor)
-                window = window.advanced(t_last + tau, y, slope, jac)
+                Y[i + p], slope, jac = implicit_solve(problem.rhs, t, Y[i:i + p], slope, jac, tau,
+                                                      weights, predictor)
             else:
-                window, out = composition.composed_solve(problem.rhs, window, tau, setup)
-                y = out.y_real
-            times.append(window.times[-1].real)
-            states.append(y)
-    exact = np.array([problem.exact(t) for t in times])
-    errors = np.abs(exact - np.array(states).real).max(axis=1)
-    return dict(zip(range(p, n_total + 1), errors.tolist()))
+                _, slope, jac = composition.composed_solve(problem.rhs, t, Y[i:i + p + 1], slope,
+                                                           jac, tau, setup)
+            t = t + tau
+            times.append(t.real)
+    return times, Y[p:]
 
 
 def global_error(errors: dict, start: int, n_total: int) -> float:

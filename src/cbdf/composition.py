@@ -1,8 +1,8 @@
 """The two-jump composed flow: one base step of complex fraction alpha1,
 then one of 1 - alpha1, whose real output gains one order of accuracy and
 whose imaginary part estimates the local error. Both sub-steps run on raw
-arrays under one ``np.errstate``; the history the second reads becomes the
-forwarded window's states, so a step builds one window.
+arrays under one ``np.errstate``, in p + 1 rows of the caller's state array,
+so a step allocates no window, history or record.
 
 The sub-step fraction, the positive-real-part root of an algebraic
 equation in the step ratios, comes from a scalar Newton iteration on
@@ -53,6 +53,10 @@ class CompositionSetup:
     step1: tuple
     step2: tuple
 
+    def error_estimate(self, raw: np.ndarray) -> float:
+        """The local-error estimate of a step whose result has imaginary part ``raw``."""
+        return abs(self.error_constant) * float(np.abs(raw).max())
+
 
 @dataclass(frozen=True)
 class ComposedStepOutput:
@@ -65,8 +69,12 @@ class ComposedStepOutput:
 
 def ratios_from_window(window: HistoryWindow, tau: float) -> tuple:
     """Backward node distances scaled by the upcoming step: r_j = (t_{n-1} - t_{n-j}) / tau."""
-    t_last = window.times[-1]
-    return tuple([(t_last - t) / tau for t in reversed(window.times)])
+    return ratios_from_times(window.times, tau)
+
+
+def ratios_from_times(times: Sequence[complex], tau: float) -> tuple:
+    """``ratios_from_window`` for the node times ``times``, oldest first."""
+    return tuple([(times[-1] - t) / tau for t in reversed(times)])
 
 
 def alpha1_polynomial(ratios: Sequence[complex]) -> np.ndarray:
@@ -327,37 +335,35 @@ def composed_step(
     Returns ``(new_window, output)``. The forwarded window carries the real
     part of the composed result at the real node t_{n-1} + tau, with the
     real part of the second sub-step's slope as its slope; the output
-    record holds that real part and the imaginary part. ``setup`` holds the
-    constants for the window's step ratios,
-    ``build_setup(ratios_from_window(window, tau))``, including both sub-steps'
-    weights and predictors; raises ValueError when its node count differs
-    from the window's, and otherwise runs ``composed_solve`` with both
-    sub-steps under one ``np.errstate``.
+    record holds that real part, the imaginary part and its error estimate.
+    ``setup`` holds the constants for the window's step ratios,
+    ``build_setup(ratios_from_window(window, tau))``; raises ValueError when
+    its node count differs from the window's, and otherwise runs
+    ``composed_solve`` under one ``np.errstate`` on a copy of the window.
     """
     if setup.p != window.p:
         raise ValueError(f"setup for {setup.p} nodes, window holds {window.p}")
+    rows = np.concatenate((window.states, window.states[-1:]))  # the step overwrites the last row
+    t_last, tau = window.times[-1], float(tau)
     with np.errstate(all="ignore"):
-        return composed_solve(rhs, window, float(tau), setup, cfg)
+        y_hat, slope, jac = composed_solve(rhs, t_last, rows, window.slope, window.jac, tau,
+                                           setup, cfg)
+    return window._shifted(t_last + tau, rows[1:], slope, jac), ComposedStepOutput(
+        y_hat.real, y_hat.imag, setup.error_estimate(y_hat.imag))
 
 
-def composed_solve(rhs, window, tau, setup, cfg=ImplicitSolveConfig()) -> tuple:
-    """``composed_step`` for a float ``tau`` and a setup of the window's node
-    count; the caller holds ``np.errstate(all="ignore")``. The history the
-    second sub-step reads, ``[states[1:], y_half]``, becomes the forwarded
-    window's states once its newest row holds the real part of the result.
+def composed_solve(rhs, t_last, rows, slope, jac, tau, setup, cfg=ImplicitSolveConfig()) -> tuple:
+    """``composed_step`` on raw arrays and a float ``tau``: ``rows`` is a ``[p + 1, d]``
+    array whose first p rows hold the history ending at ``t_last``, with its
+    ``slope`` and kept ``jac``. Sub-step 1 writes ``rows[p]``, sub-step 2 reads
+    ``rows[1:]``, and ``rows[p]`` ends as Re y_hat. Returns ``(y_hat, Re slope, jac)``;
+    the caller holds ``np.errstate(all="ignore")``.
     """
-    t_last = window.times[-1]
     tau1 = setup.alpha1 * tau
     t_half = t_last + tau1
-    y_half, f_half, jac = implicit_solve(rhs, t_last, window.states, window.slope, window.jac,
-                                         tau1, *setup.step1, cfg)
-    states = np.concatenate((window.states[1:], y_half[None]))
-    y_hat, f_hat, jac = implicit_solve(rhs, t_half, states, f_half, jac,
+    rows[-1], f_half, jac = implicit_solve(rhs, t_last, rows[:-1], slope, jac, tau1, *setup.step1,
+                                           cfg)
+    y_hat, f_hat, jac = implicit_solve(rhs, t_half, rows[1:], f_half, jac,
                                        (t_last + tau) - t_half, *setup.step2, cfg)
-    y_real, raw = y_hat.real, y_hat.imag
-    states[-1] = y_real
-    return window._shifted(t_last + tau, states, f_hat.real, jac), ComposedStepOutput(
-        y_real=y_real,
-        error_estimate_raw=raw,
-        error_estimate=abs(setup.error_constant) * float(np.abs(raw).max()),
-    )
+    rows[-1] = y_hat.real
+    return y_hat, f_hat.real, jac
