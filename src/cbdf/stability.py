@@ -3,15 +3,19 @@ scaled eigenvalue z, rasterized stability regions, and sector angles.
 
 A point is stable when no root of the one-step recurrence polynomial has
 magnitude above 1 + 1e-9. A Schur-Cohn recursion classifies points with no
-roots computed, on a coefficient-major array: each pass runs along the points.
-Rasters are classified in blocks of ``_BLOCK`` points, so a raster's memory is
-one block's passes plus its [nx, ny] mask, whatever the grid size. Sector
+roots computed, on an ascending, coefficient-major [degree + 1, N] array that
+the coefficient builder writes directly: each pass runs along the points.
+Rasters are classified in blocks of ``_BLOCK`` points. A block holds its
+coefficients, their magnitudes and two [degree, N] pass buffers, each made
+once, so a raster's memory is that plus its [nx, ny] mask, whatever the grid
+size: an order-9 raster at 401^2 peaks at 2.3 MiB of traced allocations. Sector
 angles come from the boundary locus, the z at which a root w lies on the unit
 circle (Hairer & Wanner, *Solving ODEs II*, §V.1): one quadratic in z per w.
 """
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -26,12 +30,14 @@ _LOCUS_N = 4096  # every angle lies within 4e-4 deg of its 400,001-sample value 
 # every true locus point has |z| < 36; a BDF row's roundoff-sized fitted z^2
 # term gives a spurious second root near 1e16
 _LOCUS_MAX = 1e8
-# Raster points per classification block: at order 9 a block's passes hold
-# [10, B] complex arrays of 0.6 MiB, about three live at once, so 4096 is the
-# largest power of two that stays in one core's 2 MiB L2 on the 2-vCPU Xeon
-# measured. Blocks of 1024..8192 all ran order-9 rasters faster than the
-# whole array (152 against 437 ms at 601^2 for 4096); 8192 was about 10 %
-# faster still, but spills L2 and doubles the traced peak to 5.4 MiB.
+# Raster points per classification block. At order 9 and B = 4096 a block
+# holds its [10, B] complex coefficients (0.6 MiB), their [10, B] magnitudes
+# (0.3 MiB) and two [9, B] complex pass buffers (0.56 MiB each): 2.1 MiB,
+# about one core's 2 MiB L2 on the 2-vCPU Xeon measured. An order-9 raster
+# at 401^2 peaks at 2.3 MiB of traced allocations. Blocks of 1024..8192 all
+# ran order-9 rasters faster than the whole array (152 against 437 ms at
+# 601^2 for 4096); 8192 was about 10 % faster still, but spills L2 and
+# doubles the traced peak.
 _BLOCK = 4096
 
 
@@ -58,68 +64,85 @@ def _bdf_weights(order: int) -> tuple:
 
 
 def theta_coefficients(p: int, z: complex) -> tuple:
-    """Recurrence weights of the composed flow on y' = lambda*y at z = tau*lambda.
+    """Recurrence weights of the composed flow on y' = lambda*y at z = tau*lambda,
+    highest power first.
 
     Uniform-grid setup (ratios j-1) with the fixed admissible sub-step
     fraction for base order p.
     """
     if not 1 <= p <= 8:
         raise OrderOutOfRange(f"base order must be in 1..8, got {p}")
-    return tuple(_char_rows(p + 1, np.array([z]), "composed")[0])
+    if np.ndim(z) != 0:
+        raise ValueError(f"z must be a scalar, got shape {np.shape(z)}")
+    return tuple(_char_coeffs(p + 1, np.array([z]), "composed")[::-1, 0])
 
 
-def _char_rows(order: int, z: np.ndarray, scheme: str) -> np.ndarray:
-    """Descending-power coefficient rows of the characteristic polynomial."""
+def _char_coeffs(order: int, z: np.ndarray, scheme: str) -> np.ndarray:
+    """Ascending-power coefficients of the characteristic polynomial,
+    coefficient-major: row j holds the w^j coefficient at every point z."""
     z = np.asarray(z, dtype=complex).ravel()
     if scheme == "composed":
         if not 2 <= order <= 9:
             raise OrderOutOfRange(f"composed order must be in 2..9, got {order}")
         p = order - 1
         a1, g, Gk = _uniform_stage_weights(p)
-        rows = np.empty((z.size, p + 1), dtype=complex)
+        a = np.empty((p + 1, z.size), dtype=complex)
         lead = a1 * z - g[0]
-        rows[:, 0] = lead * (Gk[0] - (1.0 - a1) * z)
+        np.multiply(lead, Gk[0] - (1.0 - a1) * z, out=a[p])
         for i in range(1, p):
-            rows[:, i] = Gk[1] * g[i] + lead * Gk[i + 1]
-        rows[:, p] = Gk[1] * g[p]
-        return rows
+            np.multiply(lead, Gk[i + 1], out=a[p - i])
+            a[p - i] += Gk[1] * g[i]
+        a[0] = Gk[1] * g[p]
+        return a
     if scheme == "bdf":
         if not 1 <= order <= 6:
             raise OrderOutOfRange(f"bdf order must be in 1..6, got {order}")
         g = _bdf_weights(order)
-        rows = np.empty((z.size, order + 1), dtype=complex)
-        rows[:, 0] = g[0] - z
+        a = np.empty((order + 1, z.size), dtype=complex)
+        np.subtract(g[0], z, out=a[order])
         for i in range(1, order + 1):
-            rows[:, i] = g[i]
-        return rows
+            a[order - i] = g[i]
+        return a
     raise ValueError(f"unknown scheme {scheme!r}")
 
 
-def _stable_mask(rows: np.ndarray) -> np.ndarray:
-    """Stability classification for a batch of descending coefficient rows.
+def _stable_mask(a: np.ndarray) -> np.ndarray:
+    """Stability classification of the points of an ascending, coefficient-major
+    [n + 1, N] array, which it overwrites.
 
     Schur-Cohn recursion on Q(w) = P((1 + 1e-9) w): every root of P has
     modulus below 1 + 1e-9 exactly when every root of Q lies strictly inside
     the unit disk. A degree-k polynomial a_0 + ... + a_k w^k has that
     property iff |a_0| < |a_k| and the degree k - 1 polynomial
     (conj(a_k) a - a_0 conj(reversed a)) / w has it too, so k = n..1 takes
-    n passes, each along the points of a coefficient-major [k + 1, N] array.
+    n passes, each along the points. Each pass writes into [n, N] buffers
+    made once per call and swaps the new coefficients with the old storage.
     """
-    a = np.ascontiguousarray(rows.T[::-1])
-    scale = np.max(np.abs(a), axis=0)
+    n = len(a) - 1
+    mag = np.abs(a)
     # a vanishing leading coefficient means an escaping root: unstable; a
-    # non-finite row fails this test too (nan scale or infinite threshold)
-    regular = np.abs(a[-1]) > 1e-13 * np.maximum(scale, 1e-300)
-    a = np.compress(regular, a, axis=1)
-    a *= ((1.0 + _ABS_TOL) ** np.arange(len(a)))[:, None]
+    # non-finite point fails this test too (nan scale or infinite threshold)
+    regular = mag[n] > 1e-13 * np.maximum(np.max(mag, axis=0), 1e-300)
+    all_regular = regular.all()
+    if not all_regular:
+        a, mag = np.compress(regular, a, axis=1), np.compress(regular, mag, axis=1)
+    a *= ((1.0 + _ABS_TOL) ** np.arange(n + 1))[:, None]
+    spare, tail = np.empty_like(a[1:]), np.empty_like(a[1:])
     stable = np.ones(a.shape[1], dtype=bool)
-    for k in range(len(a) - 1, 0, -1):
-        a0, ak = a[0], a[k]
-        stable &= np.abs(a0) < np.abs(ak)
-        a, tail = np.conj(ak) * a[1:], np.conj(a[-2::-1])
-        a -= np.multiply(a0, tail, out=tail)  # a0 first: FMA rounds by operand order
-        a *= 1.0 / np.maximum(np.max(np.abs(a), axis=0), 1e-300)
-    out = np.zeros(rows.shape[0], dtype=bool)
+    for k in range(n, 0, -1):
+        a0 = a[0]
+        np.abs(a0, out=mag[0])
+        np.abs(a[k], out=mag[1])
+        stable &= mag[0] < mag[1]
+        new, t = spare[:k], tail[:k]
+        np.multiply(np.conj(a[k]), a[1 : k + 1], out=new)
+        np.conjugate(a[k - 1 :: -1], out=t)
+        new -= np.multiply(a0, t, out=t)  # a0 first: FMA rounds by operand order
+        new *= 1.0 / np.maximum(np.max(np.abs(new, out=mag[:k]), axis=0), 1e-300)
+        a, spare = spare, a
+    if all_regular:
+        return stable
+    out = np.zeros(regular.size, dtype=bool)
     out[regular] = stable
     return out
 
@@ -134,10 +157,14 @@ def region_raster(
     """Rasterize the stability set over a rectangle, cell-center sampling.
 
     The raveled grid is classified ``_BLOCK`` points at a time, each block's
-    z values built when its turn comes, so memory is O(block) plus the mask.
-    Every Schur-Cohn operation acts on one point, so the mask does not depend
-    on the block size.
+    z values and coefficients built when its turn comes, so memory is
+    O(block) plus the mask. Every Schur-Cohn operation acts on one point, so
+    the mask does not depend on the block size.
     """
+    try:
+        nx, ny = operator.index(nx), operator.index(ny)
+    except TypeError:
+        raise ValueError(f"nx and ny must be integers, got {nx!r} and {ny!r}") from None
     if nx < 2 or ny < 2:
         raise ValueError("nx and ny must be at least 2")
     xmin, xmax, ymin, ymax = (float(v) for v in bounds)
@@ -151,8 +178,16 @@ def region_raster(
     mask = np.empty(n, dtype=bool)
     for start in range(0, n, _BLOCK):
         ix, iy = np.divmod(np.arange(start, min(start + _BLOCK, n)), ny)
-        mask[start : start + _BLOCK] = _stable_mask(_char_rows(order, xs[ix] + 1j * ys[iy], scheme))
+        mask[start : start + _BLOCK] = _stable_mask(_char_coeffs(order, xs[ix] + 1j * ys[iy], scheme))
     return StabilityRegion((xmin, xmax, ymin, ymax), mask.reshape(nx, ny))
+
+
+@lru_cache(maxsize=1)
+def _locus_samples(n: int) -> np.ndarray:
+    """The n points w = exp(2 pi i (j + 1/2) / n) of the unit circle, read-only."""
+    w = np.exp(2j * math.pi * (np.arange(n) + 0.5) / n)
+    w.flags.writeable = False
+    return w
 
 
 def stability_angle(order: int, scheme: str = "composed") -> float:
@@ -163,14 +198,14 @@ def stability_angle(order: int, scheme: str = "composed") -> float:
     throughout once it holds a stable point. z = -1 is that point; where it
     is unstable, as at composed order 9, EmptySector is raised.
     """
-    rows = _char_rows(order, np.array([0.0, 1.0, -1.0]), scheme)
-    if not _stable_mask(rows[2:])[0]:
+    coeffs = _char_coeffs(order, np.array([0.0, 1.0, -1.0]), scheme)
+    if not _stable_mask(coeffs[:, 2:].copy())[0]:
         raise EmptySector(f"{scheme} order {order} is unstable on the negative real axis")
     # every coefficient is A + B z + C z^2, fitted at z = 0, 1, -1, so at each w
     # z solves a z^2 + b z + c = 0; the samples skip w = 1, whose root z = 0 has no angle
-    w = np.exp(2j * math.pi * (np.arange(_LOCUS_N) + 0.5) / _LOCUS_N)
-    a, b, c = (np.polyval(q, w) for q in (0.5 * (rows[1] + rows[2]) - rows[0],
-                                          0.5 * (rows[1] - rows[2]), rows[0]))
+    w = _locus_samples(_LOCUS_N)
+    at0, at1, at_m1 = coeffs[::-1].T  # highest power first, as np.polyval takes them
+    a, b, c = (np.polyval(q, w) for q in (0.5 * (at1 + at_m1) - at0, 0.5 * (at1 - at_m1), at0))
     with np.errstate(all="ignore"):
         root = np.sqrt(b * b - 4.0 * a * c)
         z = np.concatenate((2.0 * c / (-b - root), 2.0 * c / (-b + root)))

@@ -1,5 +1,5 @@
 """Shared oracle builders: dense moment systems, divided-difference step
-weights and randomized draws.
+weights, a row-major Schur-Cohn classifier and randomized draws.
 
 The dense systems here are the independent reference route for the
 closed-form coefficient formulas, so they are assembled from scratch
@@ -55,6 +55,33 @@ def error_constant_at(alpha1, ratios):
     G = solve_dense(*stage2_system(alpha1, r))
     w = (1.0 - alpha1,) + tuple(1.0 + rv for rv in r)
     return _error_constant(alpha1, w, tuple(g), tuple(G))
+
+
+_ABS_TOL = 1e-9  # the stability module's slack on the root-magnitude bound
+
+
+def stable_mask_reference(rows: np.ndarray) -> np.ndarray:
+    """Schur-Cohn stability of a batch of descending [N, k + 1] coefficient
+    rows, by the stability module's earlier kernel: a contiguous transposed
+    copy, ``np.compress`` of the regular points, fresh arrays every pass.
+    The input is left unchanged."""
+    a = np.ascontiguousarray(rows.T[::-1])
+    scale = np.max(np.abs(a), axis=0)
+    # a vanishing leading coefficient means an escaping root: unstable; a
+    # non-finite row fails this test too (nan scale or infinite threshold)
+    regular = np.abs(a[-1]) > 1e-13 * np.maximum(scale, 1e-300)
+    a = np.compress(regular, a, axis=1)
+    a *= ((1.0 + _ABS_TOL) ** np.arange(len(a)))[:, None]
+    stable = np.ones(a.shape[1], dtype=bool)
+    for k in range(len(a) - 1, 0, -1):
+        a0, ak = a[0], a[k]
+        stable &= np.abs(a0) < np.abs(ak)
+        a, tail = np.conj(ak) * a[1:], np.conj(a[-2::-1])
+        a -= np.multiply(a0, tail, out=tail)  # a0 first: FMA rounds by operand order
+        a *= 1.0 / np.maximum(np.max(np.abs(a), axis=0), 1e-300)
+    out = np.zeros(rows.shape[0], dtype=bool)
+    out[regular] = stable
+    return out
 
 
 def step_weights(window, tau):

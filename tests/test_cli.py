@@ -121,6 +121,18 @@ def test_stability_raster_bad_bounds_exit_2(tmp_path, capsys, window):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("size", ["2.5", "three"])
+def test_stability_raster_non_integer_size_exit_2(tmp_path, capsys, size):
+    out = tmp_path / "reg.csv"
+    argv = ["stability", "--order", "3", "--xmin", "-1", "--xmax", "1", "--ymin", "-1",
+            "--ymax", "1", "--nx", size, "--ny", "3", "--out", str(out)]
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert "--nx: invalid int value" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_stability_raster_checks_suffix_before_computing(tmp_path, capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("raster computed before the output suffix was checked")

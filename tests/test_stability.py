@@ -13,7 +13,7 @@ from cbdf.composition import solve_alpha1
 from cbdf.errors import EmptySector
 from cbdf.stability import (
     _BLOCK,
-    _char_rows,
+    _char_coeffs,
     _stable_mask,
     region_raster,
     region_to_csv,
@@ -21,15 +21,33 @@ from cbdf.stability import (
     stability_angle,
     theta_coefficients,
 )
+from conftest import stable_mask_reference
 
 
 def _stable_at(order, z, scheme="composed"):
-    return _stable_mask(_char_rows(order, np.array([z]), scheme))[0]
+    return _stable_mask(_char_coeffs(order, np.array([z]), scheme))[0]
+
+
+def _as_rows(coeffs):
+    """Row-major descending [N, k + 1] copy of coefficient-major ascending coefficients."""
+    return coeffs[::-1].T.copy()
 
 
 @pytest.mark.parametrize("p", range(1, 9))
 def test_theta_consistency_at_origin(p):
     assert abs(sum(theta_coefficients(p, 0.0))) <= 1e-10
+
+
+@pytest.mark.parametrize("z", [np.array([1.0, 2.0]), np.array([1.0]), [0.5], np.zeros((1, 1))])
+def test_theta_rejects_non_scalar_z(z):
+    with pytest.raises(ValueError, match="z must be a scalar"):
+        theta_coefficients(2, z)
+
+
+def test_theta_accepts_numpy_scalars():
+    want = theta_coefficients(3, -0.7 + 0.3j)
+    assert theta_coefficients(3, np.complex128(-0.7 + 0.3j)) == want
+    assert theta_coefficients(3, np.array(-0.7 + 0.3j)) == want
 
 
 def test_theta_against_direct_assembly():
@@ -88,51 +106,103 @@ _Z = st.builds(
 @given(scheme_order=_SCHEME_ORDERS, z=_Z)
 def test_stable_mask_matches_root_oracle(scheme_order, z):
     scheme, order = scheme_order
-    row = _char_rows(order, np.array([z]), scheme)
+    coeffs = _char_coeffs(order, np.array([z]), scheme)
     # a leading coefficient below 1e-13 of the largest one is tested below
-    assume(abs(row[0, 0]) > 1e-13 * np.max(np.abs(row)))
-    biggest = np.max(np.abs(np.roots(row[0])))
+    assume(abs(coeffs[-1, 0]) > 1e-13 * np.max(np.abs(coeffs)))
+    biggest = np.max(np.abs(np.roots(coeffs[::-1, 0])))
     assume(abs(biggest - (1.0 + 1e-9)) > 1e-7)
-    assert _stable_mask(row)[0] == (biggest <= 1.0 + 1e-9)
+    assert _stable_mask(coeffs)[0] == (biggest <= 1.0 + 1e-9)
 
 
 @settings(max_examples=50, deadline=None, derandomize=True)
 @given(scheme_order=_SCHEME_ORDERS, z=_Z, rel=st.sampled_from((0.0, 1e-320, 1e-16, 1e-14)))
 def test_stable_mask_vanishing_leading_is_unstable(scheme_order, z, rel):
     scheme, order = scheme_order
-    row = _char_rows(order, np.array([z]), scheme)
-    row[0, 0] = rel * np.max(np.abs(row))
-    assert not _stable_mask(row)[0]
+    coeffs = _char_coeffs(order, np.array([z]), scheme)
+    coeffs[-1, 0] = rel * np.max(np.abs(coeffs))
+    assert not _stable_mask(coeffs)[0]
 
 
 def test_stable_mask_nonfinite_rows_unstable():
-    rows = _char_rows(3, np.array([-1.0, -1.0, -1.0, -1.0]), "composed")
-    rows[1, 1] = np.nan
-    rows[2, 0] = np.inf
-    rows[3, 2] = complex(0.0, np.inf)
-    assert _stable_mask(rows).tolist() == [True, False, False, False]
+    # composed order 3 has degree 2: descending index j is ascending row 2 - j
+    coeffs = _char_coeffs(3, np.array([-1.0, -1.0, -1.0, -1.0]), "composed")
+    coeffs[1, 1] = np.nan
+    coeffs[2, 2] = np.inf
+    coeffs[0, 3] = complex(0.0, np.inf)
+    assert _stable_mask(coeffs).tolist() == [True, False, False, False]
+
+
+# points of a batch: z, what is done to its coefficients, which coefficient
+# (descending index, mod the degree + 1) goes non-finite, and the size of a
+# vanishing leading coefficient relative to the largest
+_POINTS = st.lists(
+    st.tuples(
+        _Z,
+        st.sampled_from(("regular", "vanishing", "nan", "inf")),
+        st.integers(0, 9),
+        st.sampled_from((0.0, 1e-320, 1e-16, 1e-14)),
+    ),
+    min_size=1,
+    max_size=64,
+)
+
+
+def _batch(scheme, order, points):
+    """Coefficients at the points' z, with each point's drawn change applied."""
+    coeffs = _char_coeffs(order, np.array([z for z, _, _, _ in points]), scheme)
+    n = len(coeffs) - 1
+    for col, (_, kind, j, rel) in zip(coeffs.T, points):
+        if kind == "vanishing":
+            col[n] = rel * np.max(np.abs(col))
+        elif kind != "regular":
+            col[n - j % (n + 1)] = complex(np.nan if kind == "nan" else np.inf)
+    return coeffs
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
-@given(
-    scheme_order=_SCHEME_ORDERS,
-    points=st.lists(
-        st.tuples(_Z, st.sampled_from(("regular", "vanishing", "nan", "inf")), st.integers(0, 9)),
-        min_size=1,
-        max_size=64,
-    ),
-)
+@given(scheme_order=_SCHEME_ORDERS, points=_POINTS)
 def test_stable_mask_batch_equals_rows_alone(scheme_order, points):
     # the coefficient-major layout must not couple the points of a batch
     scheme, order = scheme_order
-    rows = _char_rows(order, np.array([z for z, _, _ in points]), scheme)
-    for row, (_, kind, col) in zip(rows, points):
-        if kind == "vanishing":
-            row[0] = 1e-16 * np.max(np.abs(row))
-        elif kind != "regular":
-            row[col % row.size] = complex(np.nan if kind == "nan" else np.inf)
-    alone = [_stable_mask(rows[i : i + 1])[0] for i in range(len(rows))]
-    assert _stable_mask(rows).tolist() == alone
+    coeffs = _batch(scheme, order, points)
+    alone = [_stable_mask(coeffs[:, i : i + 1].copy())[0] for i in range(len(points))]
+    assert _stable_mask(coeffs).tolist() == alone
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(scheme_order=_SCHEME_ORDERS, points=_POINTS)
+def test_stable_mask_equals_row_major_reference(scheme_order, points):
+    # bit for bit the mask of the earlier row-major kernel, which copies its
+    # input, compresses it and allocates every pass afresh
+    scheme, order = scheme_order
+    coeffs = _batch(scheme, order, points)
+    want = stable_mask_reference(_as_rows(coeffs))
+    assert np.array_equal(_stable_mask(coeffs), want)
+
+
+@pytest.mark.parametrize(
+    "scheme,order", [("composed", o) for o in range(2, 10)] + [("bdf", o) for o in range(1, 7)]
+)
+def test_raster_equals_row_major_reference(scheme, order):
+    # several blocks, the last one partial, against one reference pass over every point
+    bounds, nx, ny = (-9.0, 3.0, -7.0, 8.0), 97, 131
+    assert nx * ny > 2 * _BLOCK and nx * ny % _BLOCK
+    xs = bounds[0] + (np.arange(nx) + 0.5) * (bounds[1] - bounds[0]) / nx
+    ys = bounds[2] + (np.arange(ny) + 0.5) * (bounds[3] - bounds[2]) / ny
+    z = (xs[:, None] + 1j * ys[None, :]).ravel()
+    want = stable_mask_reference(_as_rows(_char_coeffs(order, z, scheme))).reshape(nx, ny)
+    assert want.any() and not want.all()
+    assert np.array_equal(region_raster(order, bounds, nx, ny, scheme=scheme).mask, want)
+
+
+def test_coefficients_are_coefficient_major():
+    z = np.linspace(-2.0, 1.0, 7) + 0.5j
+    for scheme, order in (("composed", 2), ("composed", 9), ("bdf", 1), ("bdf", 6)):
+        coeffs = _char_coeffs(order, z, scheme)
+        assert coeffs.shape == (order + 1 if scheme == "bdf" else order, z.size)
+        assert coeffs.dtype == complex and coeffs.flags.c_contiguous
+        for i, zi in enumerate(z):
+            assert np.array_equal(coeffs[:, i], _char_coeffs(order, np.array([zi]), scheme)[:, 0])
 
 
 def test_raster_matches_pointwise():
@@ -149,16 +219,17 @@ def test_raster_matches_pointwise():
         ys = bounds[2] + (np.arange(ny) + 0.5) * (bounds[3] - bounds[2]) / ny
         z = (xs[:, None] + 1j * ys[None, :]).ravel()
         for scheme, order in (("composed", 3), ("composed", 9), ("bdf", 6)):
-            whole = _stable_mask(_char_rows(order, z, scheme)).reshape(nx, ny)
+            whole = _stable_mask(_char_coeffs(order, z, scheme)).reshape(nx, ny)
             region = region_raster(order, bounds, nx, ny, scheme=scheme)
             assert np.array_equal(region.mask, whole), (nx, ny, scheme, order)
     assert 97 * 131 % _BLOCK and 97 * 131 > 2 * _BLOCK and 40 * 61 < _BLOCK
 
 
 def test_raster_memory_is_bounded():
-    # a raster's traced peak is one block's passes plus the [nx, ny] mask,
-    # so it does not grow with the grid (classifying all 160,801 points of
-    # this raster in one batch peaks near 100 MiB)
+    # a raster's traced peak is one block's coefficients, magnitudes and
+    # pass buffers plus the [nx, ny] mask, so it does not grow with the grid
+    # (classifying all 160,801 points of this raster in one batch peaks near
+    # 100 MiB); the bound is the measured 2,406,529 B plus 50 %
     bounds = (-8.0, 8.0, -8.0, 8.0)
     region_raster(9, bounds, 401, 401)
     tracemalloc.start()
@@ -167,7 +238,26 @@ def test_raster_memory_is_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 16 * 2**20
+    assert peak <= 1.5 * 2_406_529
+
+
+def test_benchmark_raster_cell_counts():
+    # stable cells of the three 201^2 rasters on [-8, 8]^2, orders 3, 6, 9
+    bounds = (-8.0, 8.0, -8.0, 8.0)
+    counts = [int(region_raster(o, bounds, 201, 201).mask.sum()) for o in (3, 6, 9)]
+    assert counts == [38332, 24693, 6911]
+
+
+@pytest.mark.parametrize("nx,ny", [(2.5, 3), (3, 2.5), (3.0, 3), ("3", 3), (None, 3)])
+def test_raster_rejects_non_integer_sizes(nx, ny):
+    with pytest.raises(ValueError, match="must be integers"):
+        region_raster(3, (-1.0, 1.0, -1.0, 1.0), nx, ny)
+
+
+def test_raster_accepts_numpy_integer_sizes():
+    region = region_raster(3, (-1.0, 1.0, -1.0, 1.0), np.int64(3), np.int32(2))
+    assert region.mask.shape == (3, 2)
+    assert np.array_equal(region.mask, region_raster(3, (-1.0, 1.0, -1.0, 1.0), 3, 2).mask)
 
 
 @pytest.mark.parametrize("bounds", [
@@ -225,9 +315,9 @@ def test_angle_is_the_edge_of_the_stable_sector(scheme, order):
     # radii over [1e-6, 1e6]; below 90 degrees, rays 0.01 degrees outside it
     # hold an unstable point (27 or more of these radii, at every order)
     theta = stability_angle(order, scheme)
-    assert _stable_mask(_char_rows(order, _rays(theta - 0.01), scheme)).all()
+    assert _stable_mask(_char_coeffs(order, _rays(theta - 0.01), scheme)).all()
     if theta < 90.0:
-        assert not _stable_mask(_char_rows(order, _rays(theta + 0.01), scheme)).all()
+        assert not _stable_mask(_char_coeffs(order, _rays(theta + 0.01), scheme)).all()
 
 
 @pytest.mark.parametrize("scheme,order", _SECTOR_CASES)
