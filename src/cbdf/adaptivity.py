@@ -130,7 +130,8 @@ def adaptive_drive(
     starts from the exact solution, in p rows of one [p + 1, d] buffer: each
     step leaves its state in the last row, and then the rows shift by one. A
     run that needs more than 500,000 steps raises NoConvergence. A p other
-    than ``ctl.p``, or a tau0 not positive and finite, raises ValueError.
+    than ``ctl.p``, or a tau0 not positive and finite or whose start history
+    already reaches t_end, raises ValueError.
     """
     if p != ctl.p:
         raise ValueError(f"base order {p} differs from the controller's order {ctl.p}")
@@ -143,6 +144,8 @@ def adaptive_drive(
     with np.errstate(all="ignore"):
         for _ in range(_MAX_STEPS):
             if t >= t_end - 1e-14 * max(1.0, abs(t_end)):
+                if not rec.taus:
+                    raise ValueError(f"tau0 {tau0!r} leaves no step before t_end = {t_end!r}")
                 return rec
             setup = build_setup(ratios_from_times(times, tau))
             y_hat, slope, jac = composed_solve(problem.rhs, times[-1], rows, slope, jac, tau, setup)

@@ -1,14 +1,13 @@
 """Backward-difference coefficient generation and the implicit one-step solve.
 
-The implicit step returns the state at one new node and the slope there;
-a run stores each state in one array whose rows later steps read as views.
-``implicit_solve`` does the work on raw arrays, under an ``np.errstate``
-its caller holds once per step or per run; ``bdf_step`` is its checked
-entry point for one step from a window. Its weights come from the
-caller: the step weights ``(g_0, g_1..g_p)`` and the predictor weights
-that extrapolate the window, states and newest slope, to the new node.
-``coeff_fixed`` and ``predictor_weights`` give both for a uniform grid,
-and a composed step passes the two sets of each that its
+The implicit step, ``implicit_solve``, returns the state at one new node
+and the slope there; a run stores each state in one array whose rows
+later steps read as views. The step works on raw arrays, under an
+``np.errstate`` its caller holds once per step or per run. Its weights
+come from the caller: the step weights ``(g_0, g_1..g_p)`` and the
+predictor weights that extrapolate the history, states and newest slope,
+to the new node. ``coeff_fixed`` and ``predictor_weights`` give both for
+a uniform grid, and a composed step passes the two sets of each that its
 ``CompositionSetup`` carries as arrays. Until a run first needs Newton,
 a fixed-point sweep from the predictor runs while each sweep gains a
 digit; a slower or diverging one hands over to a simplified Newton, which
@@ -27,6 +26,7 @@ the closed forms are checked against, and no step calls it.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
@@ -102,19 +102,6 @@ class HistoryWindow:
     def p(self) -> int:
         return len(self.times)
 
-    def advanced(self, t_new: complex, y_new, slope=None, jac=None) -> "HistoryWindow":
-        """Drop the oldest node and append (t_new, y_new), in a fresh array.
-
-        ``slope`` is the derivative at the new node, or None, and ``jac`` the
-        Jacobian to keep, as ``implicit_solve`` returns it, or None. Skips
-        re-validation: shifting a valid window by a forward node preserves
-        every invariant.
-        """
-        states = self.states.copy()
-        states[:-1] = self.states[1:]
-        states[-1] = y_new
-        return self._shifted(t_new, states, slope, jac)
-
     def _shifted(self, t_new: complex, states: np.ndarray, slope=None, jac=None) -> "HistoryWindow":
         """The window at ``times[1:] + (t_new,)`` over ``states``, a ``[p, d]`` array
         the caller hands over and this freezes, with read-only views of ``slope``
@@ -151,7 +138,11 @@ class ImplicitSolveConfig:
     def __post_init__(self):
         if not self.tol > 0:
             raise ValueError("tol must be positive")
-        if self.max_iterations < 1:
+        try:
+            iterations = operator.index(self.max_iterations)
+        except TypeError:
+            raise ValueError(f"max_iterations {self.max_iterations!r} is not an integer") from None
+        if iterations < 1:
             raise ValueError("max_iterations must be at least 1")
 
 
@@ -361,49 +352,19 @@ def _newton(rhs, t_new, y, f, g0, hist, tau, jac, tol: float, budget: int):
     )
 
 
-def bdf_step(
-    rhs: RhsFunction,
-    window: HistoryWindow,
-    tau: complex,
-    weights: Sequence[complex],
-    predictor: Sequence[complex],
-    cfg: ImplicitSolveConfig = ImplicitSolveConfig(),
-) -> tuple:
-    """Solve one implicit step of size ``tau`` past the window.
-
-    ``weights`` are ``(g_0, g_1..g_p)`` for the window's nodes and the target
-    ``window.times[-1] + tau``: ``g_0`` multiplies the unknown and ``g_j``
-    the j-th newest history state, as ``coeff_fixed`` returns them.
-    ``predictor`` holds the ``predictor_weights`` of the window's nodes at
-    the target. Either may be an array, which the step reads as it is, or a
-    sequence, which it converts. Returns ``(y, slope)``: the ``[d]`` complex
-    state at the target and ``f(target, y)``; the window is left unchanged.
-    A window that keeps a Jacobian lends it to the solve, which then starts
-    with Newton. Checks the weight counts, then runs ``implicit_solve`` under
-    one ``np.errstate``.
-    """
-    p = len(window.times)
-    if len(weights) != p + 1:
-        raise ValueError(f"need {p + 1} weights for {p} nodes, got {len(weights)}")
-    if len(predictor) != p + 1:
-        raise ValueError(f"need {p + 1} predictor weights, got {len(predictor)}")
-    with np.errstate(all="ignore"):
-        y, slope, _ = implicit_solve(rhs, window.times[-1], window.states, window.slope,
-                                     window.jac, complex(tau), np.asarray(weights),
-                                     np.asarray(predictor), cfg)
-    return y, slope
-
-
 def implicit_solve(rhs, t_last, states, slope, jac, tau, weights, predictor,
                    cfg=ImplicitSolveConfig()) -> tuple:
-    """``bdf_step`` on raw arrays: the ``[p, d]`` history ``states`` ending at
-    node ``t_last``, the ``slope`` there or None (one RHS call), the kept RHS
-    Jacobian ``jac`` or None, and the two weight arrays. Returns
-    ``(y, slope, jac)``, the last the Jacobian to keep: the one handed in, a
-    rebuilt one, or None while no solve has needed one. It checks no lengths
-    and its caller holds ``np.errstate(all="ignore")``, so an overflowing
-    sweep hands over to Newton quietly. A step that does not advance real
-    time raises ValueError.
+    """One implicit step of size ``tau`` past the ``[p, d]`` history ``states``,
+    which ends at node ``t_last`` with the ``slope`` there or None (one RHS
+    call) and the kept RHS Jacobian ``jac`` or None. The ``weights`` array
+    ``(g_0, g_1..g_p)`` is in ``coeff_fixed``'s order: ``g_0`` multiplies the
+    unknown, ``g_j`` the j-th newest state. ``predictor`` holds the history's
+    ``predictor_weights`` at the target. Returns ``(y, slope, jac)``: the
+    ``[d]`` complex state at the target, the RHS there, and the Jacobian to
+    keep (the one handed in, a rebuilt one, or None while no solve has needed
+    one). It checks no lengths and its caller holds ``np.errstate(all="ignore")``,
+    so an overflowing sweep hands over to Newton quietly. A step that does
+    not advance real time raises ValueError.
 
     Without a Jacobian, a fixed-point sweep starts from the predictor, the
     history's degree-p extrapolant at the target, and its last RHS value is

@@ -48,7 +48,8 @@ def fixed_states(problem, scheme: str, p: int, tau: float) -> tuple:
     order p carries p history points and has order p + 1. A step ``tau`` that is
     not positive and finite, or that leaves fewer than p steps on the interval,
     raises ValueError. Step i reads rows i..i+p-1 of one run-long state array
-    and writes row i+p.
+    and writes row i+p. It ends at t0 + n_total tau, n_total = round((t_end - t0) / tau),
+    up to tau / 2 off t_end: stiff_arctan at tau = 1/40 ends at 6.275, not 2 pi.
     """
     if scheme not in ("bdf", "composed"):
         raise ValueError(f"unknown scheme {scheme!r}")

@@ -46,7 +46,7 @@ class CompositionSetup:
     p: int
     alpha1: complex
     error_constant: float
-    # (weights, predictor) arrays of each sub-step, as bdf_step takes them: the
+    # (weights, predictor) arrays of each sub-step, as implicit_solve takes them: the
     # first-stage weights g_0..g_p with the predictor weights of the window's
     # nodes, then the second-stage weights G_0..G_p with those of the
     # intermediate history; each set is in units of its own sub-step

@@ -20,7 +20,7 @@ _INV_E = math.exp(-1.0)
 
 @dataclass(frozen=True)
 class ODEProblem:
-    """An initial-value problem, optionally with its exact solution."""
+    """An initial-value problem on a finite t0 < t_end, optionally with its exact solution."""
 
     rhs: Callable[[complex, np.ndarray], np.ndarray]
     t0: float
@@ -30,6 +30,8 @@ class ODEProblem:
     name: str = ""
 
     def __post_init__(self):
+        if not -math.inf < self.t0 < self.t_end < math.inf:
+            raise ValueError(f"need finite t0 < t_end, got {self.t0!r} and {self.t_end!r}")
         object.__setattr__(self, "y0", np.atleast_1d(np.asarray(self.y0, dtype=float)))
         if self.exact is not None:
             gap = np.max(np.abs(self.exact(self.t0) - self.y0))

@@ -1,5 +1,6 @@
 """Shared oracle builders: dense moment systems, divided-difference step
-weights, a row-major Schur-Cohn classifier and randomized draws.
+weights, the implicit step on a window's arrays, a row-major Schur-Cohn
+classifier and randomized draws.
 
 The dense systems here are the independent reference route for the
 closed-form coefficient formulas, so they are assembled from scratch
@@ -10,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from cbdf.bdf_core import coeff_variable, predictor_weights
+from cbdf.bdf_core import ImplicitSolveConfig, coeff_variable, implicit_solve, predictor_weights
 from cbdf.composition import _error_constant
 from cbdf.polyroot import solve_dense
 
@@ -89,6 +90,14 @@ def step_weights(window, tau):
     by divided differences and Lagrange products on the window's own nodes."""
     t_new = window.times[-1] + tau
     return coeff_variable(window.times, t_new), predictor_weights(window.times, t_new)
+
+
+def solve_from(rhs, window, tau, weights, predictor, cfg=ImplicitSolveConfig()):
+    """``implicit_solve`` of one step of ``tau`` on ``window``'s arrays, with the
+    weights as arrays, under the ``np.errstate`` a run holds: ``(y, slope, jac)``."""
+    with np.errstate(all="ignore"):
+        return implicit_solve(rhs, window.times[-1], window.states, window.slope, window.jac,
+                              complex(tau), np.asarray(weights), np.asarray(predictor), cfg)
 
 
 def draw_ratios(rng, p):

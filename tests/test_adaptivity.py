@@ -161,7 +161,9 @@ def test_step_budget_exhaustion_is_a_solver_failure(monkeypatch, tmp_path):
     assert main(argv) == 3
 
 
-@pytest.mark.parametrize("tau0", [0.0, -0.05, float("nan"), float("inf")])
+# the start history of order 2 ends at tau0, so 1.0 and 1.5 leave no step
+# before cubic_decay's t_end = 1
+@pytest.mark.parametrize("tau0", [0.0, -0.05, float("nan"), float("inf"), 1.0, 1.5])
 def test_adaptive_drive_rejects_bad_first_step(tau0):
     with pytest.raises(ValueError, match="tau"):
         adaptive_drive(builtin("cubic_decay"), 2, tau0, StepController(p=2, tol=1e-6))

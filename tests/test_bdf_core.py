@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from cbdf.bdf_core import (
     HistoryWindow,
     ImplicitSolveConfig,
-    bdf_step,
     coeff_fixed,
     coeff_variable,
     g_closed_form,
@@ -18,7 +17,7 @@ from cbdf.bdf_core import (
 )
 from cbdf.errors import DuplicateEps, DuplicateNode, OrderOutOfRange
 from cbdf.polyroot import solve_dense
-from conftest import draw_eps, stage1_system, step_weights
+from conftest import draw_eps, solve_from, stage1_system, step_weights
 
 TABLE_FIXED = {
     1: (1.0, -1.0),
@@ -125,6 +124,27 @@ def test_uniform_grid_equivalence(p):
     assert np.max(np.abs(np.array(var) - np.array(fix))) <= 1e-12
 
 
+@pytest.mark.parametrize("iterations, match", [
+    (float("nan"), "not an integer"),
+    (3.0, "not an integer"),
+    ("3", "not an integer"),
+    (None, "not an integer"),
+    (0, "at least 1"),
+    (-2, "at least 1"),
+])
+def test_solve_config_rejects_bad_iteration_budgets(iterations, match):
+    # an iteration budget is an integer: nan fails no comparison, and 3.0
+    # cannot size a range
+    with pytest.raises(ValueError, match=match):
+        ImplicitSolveConfig(max_iterations=iterations)
+
+
+def test_solve_config_accepts_numpy_integers():
+    assert ImplicitSolveConfig(max_iterations=np.int64(3)).max_iterations == 3
+    with pytest.raises(ValueError, match="tol"):
+        ImplicitSolveConfig(tol=float("nan"))
+
+
 @pytest.mark.parametrize("times, states, match", [
     ((0.0, 1.0), ([1.0],), "equal length"),
     ((), (), "window length"),
@@ -166,23 +186,6 @@ def test_window_jac_is_a_checked_read_only_copy():
     assert HistoryWindow((0.0,), (np.ones(2),)).jac is None
     with pytest.raises(ValueError, match="jac"):
         HistoryWindow((0.0,), (np.ones(2),), jac=np.ones(2))
-    # a shift hands the Jacobian it is given on read-only, and drops it without one
-    fresh = np.ones((2, 2), dtype=complex)
-    shifted = window.advanced(1.0, np.zeros(2), jac=fresh)
-    assert np.array_equal(shifted.jac, fresh) and not shifted.jac.flags.writeable
-    assert fresh.flags.writeable
-    assert window.advanced(1.0, np.zeros(2)).jac is None
-
-
-def test_advanced_writes_a_fresh_array():
-    window = HistoryWindow((0.0, 1.0), (np.array([1.0, 2.0]), np.array([3.0, 4.0])))
-    before = window.states.copy()
-    new = window.advanced(2.0, np.array([5.0, 6.0]))
-    assert new.times == (1.0, 2.0)
-    assert np.array_equal(new.states, [[3.0, 4.0], [5.0, 6.0]])
-    assert not new.states.flags.writeable
-    assert not np.shares_memory(new.states, window.states)
-    assert np.array_equal(window.states, before) and window.times == (0.0, 1.0)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -215,15 +218,15 @@ def test_start_value_reproduces_polynomials(p, complex_nodes, seed):
 
 def test_bdf_step_implicit_euler_linear():
     window = HistoryWindow((0.0,), (np.array([1.0 + 0j]),))
-    y, _ = bdf_step(lambda t, y: -y, window, 0.1, *step_weights(window, 0.1),
-                 ImplicitSolveConfig(tol=1e-14))
+    y, _, _ = solve_from(lambda t, y: -y, window, 0.1, *step_weights(window, 0.1),
+                      ImplicitSolveConfig(tol=1e-14))
     assert abs(y[0] - 1.0 / 1.1) < 1e-13
 
 
 def test_bdf_step_two_point_linear():
     window = HistoryWindow((0.0, 0.1), (np.array([1.0 + 0j]), np.array([0.905 + 0j])))
-    y, _ = bdf_step(lambda t, y: -y, window, 0.1, *step_weights(window, 0.1),
-                 ImplicitSolveConfig(tol=1e-14))
+    y, _, _ = solve_from(lambda t, y: -y, window, 0.1, *step_weights(window, 0.1),
+                      ImplicitSolveConfig(tol=1e-14))
     expect = (2 * 0.905 - 0.5 * 1.0) / (1.5 + 0.1)
     assert abs(y[0] - expect) < 1e-13
 
@@ -239,25 +242,15 @@ def test_bdf_step_cubic_vs_bisection():
             hi = mid
     root = 0.5 * (lo + hi)
     window = HistoryWindow((0.0,), (np.array([1.0 + 0j]),))
-    y, _ = bdf_step(lambda t, y: -(y**3), window, 0.1, *step_weights(window, 0.1),
-                 ImplicitSolveConfig(tol=1e-14))
+    y, _, _ = solve_from(lambda t, y: -(y**3), window, 0.1, *step_weights(window, 0.1),
+                      ImplicitSolveConfig(tol=1e-14))
     assert abs(y[0] - root) < 1e-12
-
-
-def test_bdf_step_rejects_weights_of_other_order():
-    window = HistoryWindow((0.0, 0.1), (np.array([1.0 + 0j]), np.array([0.905 + 0j])))
-    weights, predictor = step_weights(window, 0.1)
-    with pytest.raises(ValueError, match="need 3 weights"):
-        bdf_step(lambda t, y: -y, window, 0.1, coeff_fixed(3), predictor)
-    assert len(predictor) == 3  # two state weights and one slope weight
-    with pytest.raises(ValueError, match="need 3 predictor weights"):
-        bdf_step(lambda t, y: -y, window, 0.1, weights, predictor + (0j,))
 
 
 def test_bdf_step_returns_state_and_keeps_window():
     window = HistoryWindow((0.0, 1.0), (np.array([1.0, 5.0]), np.array([2.0, 7.0])))
     states = window.states
-    y, slope = bdf_step(lambda t, y: 0 * y, window, 1.0, *step_weights(window, 1.0))
+    y, slope, _ = solve_from(lambda t, y: 0 * y, window, 1.0, *step_weights(window, 1.0))
     assert y.shape == (2,) and y.dtype == complex
     assert slope.shape == (2,) and slope.dtype == complex
     assert window.times == (0.0, 1.0) and window.states is states
@@ -271,7 +264,7 @@ def test_bdf_step_residual_contract(rng):
         states = tuple(np.array([np.exp(-t) + 0j]) for t in times)
         window = HistoryWindow(times, states)
         tau = 0.1
-        y, _ = bdf_step(lambda t, y: -y, window, tau, *step_weights(window, tau), cfg)
+        y, _, _ = solve_from(lambda t, y: -y, window, tau, *step_weights(window, tau), cfg)
         c = coeff_variable(times, times[-1] + tau)
         res = c[0] * y + sum(
             c[i] * states[p - i] for i in range(1, p + 1)
@@ -284,7 +277,7 @@ def test_fixed_point_contraction_converges():
     # to Newton, which must still converge within the budget
     window = HistoryWindow((0.0, 0.5), (np.array([1.0 + 0j]), np.array([0.6 + 0j])))
     cfg = ImplicitSolveConfig(tol=1e-13, max_iterations=80)
-    y, _ = bdf_step(lambda t, y: -1.2 * y, window, 0.5, *step_weights(window, 0.5), cfg)
+    y, _, _ = solve_from(lambda t, y: -1.2 * y, window, 0.5, *step_weights(window, 0.5), cfg)
     assert np.isfinite(y).all()
 
 
@@ -316,7 +309,7 @@ def test_newton_solves_cubic(monkeypatch):
     monkeypatch.setattr(cbdf.bdf_core, "solve_dense", counted)
     window = HistoryWindow((0.0,), (np.array([1.0 + 0j]),))
     cfg = ImplicitSolveConfig(tol=1e-13, max_iterations=60)
-    y, _ = bdf_step(lambda t, y: -(y**3), window, 0.1, *step_weights(window, 0.1), cfg)
+    y, _, _ = solve_from(lambda t, y: -(y**3), window, 0.1, *step_weights(window, 0.1), cfg)
     assert abs(y[0] ** 3 * 0.1 + y[0] - 1.0) < 1e-11
     assert len(factorizations) == 1
 
@@ -329,7 +322,7 @@ def test_singular_jacobian():
     g0 = coeff_fixed(2)[0]
     cfg = ImplicitSolveConfig(tol=1e-13, max_iterations=40)
     with pytest.raises(SingularJacobian):
-        bdf_step(lambda t, y: (g0 / 1.0) * y, window, 1.0, *step_weights(window, 1.0), cfg)
+        solve_from(lambda t, y: (g0 / 1.0) * y, window, 1.0, *step_weights(window, 1.0), cfg)
 
 
 def test_stiff_rows_are_not_singular():
@@ -341,7 +334,7 @@ def test_stiff_rows_are_not_singular():
     expect = np.array([1.0 / (1.0 + 1e10), 2.0])
     weights = (coeff_fixed(1), predictor_weights((0.0,), 1.0))
     for w in (window, HistoryWindow(window.times, window.states, jac=np.diag(lam))):
-        y, _ = bdf_step(lambda t, y: lam * y, w, 1.0, *weights)
+        y, _, _ = solve_from(lambda t, y: lam * y, w, 1.0, *weights)
         assert np.abs(y - expect).max() <= 1e-13
 
 
@@ -376,8 +369,8 @@ def test_jacobian_built_in_the_solve_is_rebuilt_only_when_an_increment_grows():
     # so none of them rebuilds it, and the solve meets tol at the real root
     a, y0, tau, tol = 2.4787, 2.9149, 0.08597, 1.3e-7
     window = HistoryWindow((0.0,), (np.array([y0 + 0j]),))
-    y, _ = bdf_step(lambda t, y: -a * y**3, window, tau, coeff_fixed(1),
-                    predictor_weights((0.0,), tau), ImplicitSolveConfig(tol=tol))
+    y, _, _ = solve_from(lambda t, y: -a * y**3, window, tau, coeff_fixed(1),
+                         predictor_weights((0.0,), tau), ImplicitSolveConfig(tol=tol))
     # y + a tau y^3 = y0 is increasing in y, so its real root is unique
     root = max(r.real for r in np.roots([a * tau, 0.0, 1.0, -y0]) if abs(r.imag) < 1e-9)
     for _ in range(3):
@@ -397,8 +390,8 @@ def test_kept_jacobian_that_fails_is_retried_without_it(scale):
     for _ in range(3):
         root -= (root + a * tau * root**3 - y0) / (1.0 + 3.0 * a * tau * root**2)
     window = HistoryWindow((0.0,), (np.array([y0 + 0j]),), jac=[[-3.0 * a * root**2 * scale]])
-    y, _ = bdf_step(lambda t, y: -a * y**3, window, tau, coeff_fixed(1),
-                    predictor_weights((0.0,), tau), ImplicitSolveConfig(tol=tol))
+    y, _, _ = solve_from(lambda t, y: -a * y**3, window, tau, coeff_fixed(1),
+                         predictor_weights((0.0,), tau), ImplicitSolveConfig(tol=tol))
     assert abs(y[0] - root) <= tol
 
 
@@ -406,8 +399,8 @@ def test_kept_jacobian_that_fails_is_retried_without_it(scale):
 def test_step_that_does_not_advance_time_is_refused(tau):
     window = HistoryWindow((0.0, 0.1), (np.array([1.0 + 0j]), np.array([0.9 + 0j])))
     with pytest.raises(ValueError, match="step must advance the real part of time"):
-        bdf_step(lambda t, y: -y, window, tau, coeff_fixed(2),
-                 predictor_weights(window.times, window.times[-1] + 0.1))
+        solve_from(lambda t, y: -y, window, tau, coeff_fixed(2),
+                   predictor_weights(window.times, window.times[-1] + 0.1))
 
 
 def test_no_convergence_budget():
@@ -416,7 +409,7 @@ def test_no_convergence_budget():
     window = HistoryWindow((0.0,), (np.array([1.0 + 0j]),))
     cfg = ImplicitSolveConfig(tol=1e-13, max_iterations=1)
     with pytest.raises(NoConvergence):
-        bdf_step(lambda t, y: -(y**3) * 40.0, window, 0.9, *step_weights(window, 0.9), cfg)
+        solve_from(lambda t, y: -(y**3) * 40.0, window, 0.9, *step_weights(window, 0.9), cfg)
 
 
 def test_no_convergence_names_its_cause():
@@ -435,12 +428,13 @@ def test_no_convergence_names_its_cause():
     for rhs, tau, iterations, cause in cases:
         cfg = ImplicitSolveConfig(max_iterations=iterations)
         with pytest.raises(NoConvergence, match=cause):
-            bdf_step(rhs, window, tau, coeff_fixed(1), predictor_weights((0.0,), tau), cfg)
+            solve_from(rhs, window, tau, coeff_fixed(1), predictor_weights((0.0,), tau), cfg)
 
 
 def test_overflowing_sweep_warns_nothing():
-    # a sweep at tau = 5e25 overflows cubing its iterate; the step must fail
-    # with its own error, not leak numpy's overflow warning to the caller
+    # a sweep at tau = 5e25 overflows cubing its iterate; under the errstate
+    # a run holds, the overflowing sweep hands over to Newton quietly, and the
+    # step fails with its own error, not with numpy's overflow warning
     from cbdf.errors import NoConvergence
 
     window = HistoryWindow((0.0,), (np.array([1.0 + 0j]),))
@@ -449,7 +443,7 @@ def test_overflowing_sweep_warns_nothing():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NoConvergence):
-            bdf_step(lambda t, y: -(y**3), window, tau, coeff_fixed(1), predictor)
+            solve_from(lambda t, y: -(y**3), window, tau, coeff_fixed(1), predictor)
 
 
 def test_failing_runs_raise_no_warnings():
@@ -492,7 +486,7 @@ def test_fixed_point_stays_in_contraction_regime(monkeypatch):
 
     window = HistoryWindow((0.0, 0.5), (np.array([1.0 + 0j]), np.array([0.6 + 0j])))
     cfg = ImplicitSolveConfig(tol=1e-13, max_iterations=100)
-    y, _ = bdf_step(rhs, window, 0.5, *step_weights(window, 0.5), cfg)
+    y, _, _ = solve_from(rhs, window, 0.5, *step_weights(window, 0.5), cfg)
     c = coeff_variable((0.0, 0.5), 1.0)
     expect = -(c[1] * 0.6 + c[2] * 1.0) / (c[0] + 0.2 * 0.5)
     assert abs(y[0] - expect) < 1e-12
@@ -527,7 +521,7 @@ def test_bdf_step_linear_closed_form(p, log_ratio, angle, seed, jac_scale):
     scale = np.abs(expect).max()
     cfg = ImplicitSolveConfig(tol=1e-14 * scale)
     predictor = predictor_weights(window.times, float(p))
-    y, _ = bdf_step(lambda t, y: z * y, window, 1.0, weights, predictor, cfg)
+    y, _, _ = solve_from(lambda t, y: z * y, window, 1.0, weights, predictor, cfg)
     assert np.abs(y - expect).max() <= 1e-12 * scale
 
 
@@ -650,7 +644,7 @@ def test_bdf_step_slope_is_the_rhs_at_the_solution(monkeypatch):
             times = tuple(j * tau for j in range(p))
             window = HistoryWindow(times, tuple(np.array([1.0 - 0.5 * t]) for t in times))
             factorizations.clear()
-            y, slope = bdf_step(rhs, window, tau, *step_weights(window, tau))
+            y, slope, _ = solve_from(rhs, window, tau, *step_weights(window, tau))
             assert bool(factorizations) == newton
             expect = rhs(times[-1] + tau, y)
             assert np.abs(slope - expect).max() <= 1e-9 * np.abs(expect).max()
@@ -674,7 +668,7 @@ def test_window_without_slope_costs_one_rhs_call():
         counts, ys = [], []
         for window in (known, bare):
             calls[0] = 0
-            y, _ = bdf_step(rhs, window, 0.1, *step_weights(window, 0.1), cfg)
+            y, _, _ = solve_from(rhs, window, 0.1, *step_weights(window, 0.1), cfg)
             counts.append(calls[0])
             ys.append(y)
         assert counts[1] == counts[0] + 1

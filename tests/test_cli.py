@@ -198,6 +198,8 @@ def test_integrate_fixed_rejects_bad_step(tau):
     ["bench", "--p", "2", "--taus", "0"],
     ["adaptive", "--p", "1", "--tol", "1e-6", "--tau0", "0"],
     ["adaptive", "--p", "1", "--tol", "1e-6", "--tau0", "nan"],
+    # the exact start history of order 4 ends at 1.5, past t_end = 1
+    ["adaptive", "--p", "4", "--tol", "1e-8", "--tau0", "0.5"],
     # one distinct step leaves the least-squares slope undetermined
     ["converge", "--scheme", "bdf", "--p", "2", "--taus", "0.1"],
     ["converge", "--scheme", "bdf", "--p", "2", "--taus", "0.1,0.1"],
@@ -239,6 +241,22 @@ def test_malformed_problem_record_exits_2(tmp_path, capsys, record):
                  "--tau0", "0.1", "--out", str(tmp_path / "o.csv")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["adaptive", "--p", "2", "--tol", "1e-6", "--tau0", "0.1"],
+    ["converge", "--scheme", "bdf", "--p", "2", "--taus", "0.1,0.05"],
+])
+@pytest.mark.parametrize("t_end", [-1.0, float("inf")])
+def test_backward_or_infinite_interval_exits_2(tmp_path, capsys, argv, t_end):
+    # a backward interval leaves no step and an infinite one no step count:
+    # both are bad arguments, refused before an output file is written
+    rec = tmp_path / "prob.json"
+    rec.write_text(json.dumps({"rhs": "forced_linear", "t_end": t_end}))
+    out = tmp_path / "o.csv"
+    assert main(argv[:1] + ["--problem", str(rec), "--out", str(out)] + argv[1:]) == 2
+    assert "t0 < t_end" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_bad_subcommand_exits_2(capsys):

@@ -10,7 +10,6 @@ from cbdf import composition
 from cbdf.bdf_core import (
     HistoryWindow,
     ImplicitSolveConfig,
-    bdf_step,
     coeff_variable,
     g_closed_form,
     implicit_solve,
@@ -32,6 +31,7 @@ from conftest import (
     draw_eps,
     draw_ratios,
     error_constant_at,
+    solve_from,
     stage2_system,
     step_weights,
 )
@@ -442,10 +442,11 @@ def test_composed_step_substep_nodes_and_forwarded_times():
 
 def test_composed_step_is_two_bdf_steps():
     # bit for bit: the implicit solve with setup.step1 from the window, then
-    # bdf_step with setup.step2 from the window shifted by the intermediate
-    # state and the Jacobian the first solve returned; the sweeps converge
-    # at tau = 1/160, while at tau = 0.05 a window without a Jacobian hands
-    # over to Newton, which builds one for the second sub-step
+    # the one with setup.step2 from the history shifted by the intermediate
+    # state, with that state's slope and the Jacobian the first solve
+    # returned; the sweeps converge at tau = 1/160, while at tau = 0.05 a
+    # window without a Jacobian hands over to Newton, which builds one for
+    # the second sub-step
     rhs = lambda t, y: -(y**3)
     built = 0
     for p in (1, 2, 4):
@@ -457,17 +458,19 @@ def test_composed_step_is_two_bdf_steps():
             setup = build_setup(ratios_from_window(window, tau))
             new, out = composed_step(rhs, window, tau, setup)
             t_last = window.times[-1]
+            t_half = t_last + setup.alpha1 * tau
             with np.errstate(all="ignore"):
                 y_half, f_half, jac = implicit_solve(rhs, t_last, window.states, window.slope,
                                                      window.jac, setup.alpha1 * tau, *setup.step1)
-            built += window.jac is None and jac is not None
-            mid = window.advanced(t_last + setup.alpha1 * tau, y_half, f_half, jac)
-            y_hat, f_hat = bdf_step(rhs, mid, (t_last + tau) - mid.times[-1], *setup.step2)
+                built += window.jac is None and jac is not None
+                mid = np.vstack((window.states[1:], y_half))
+                y_hat, f_hat, jac = implicit_solve(rhs, t_half, mid, f_half, jac,
+                                                   (t_last + tau) - t_half, *setup.step2)
             assert np.array_equal(out.y_real, y_hat.real)
             assert np.array_equal(out.error_estimate_raw, y_hat.imag)
             assert np.array_equal(new.states, np.vstack((window.states[1:], y_hat.real)))
             assert np.array_equal(new.slope, f_hat.real)
-            assert (new.jac is None) == (jac is None) and np.array_equal(new.jac, mid.jac)
+            assert (new.jac is None) == (jac is None) and np.array_equal(new.jac, jac)
             if kept:
                 assert new.jac is window.jac
     assert built
@@ -487,8 +490,8 @@ def test_stepped_windows_are_read_only():
     window = window_cubic(3, 0.1)
     setup = build_setup(ratios_from_window(window, 0.1))
     stepped, _ = composed_step(rhs, window, 0.1, setup)
-    y, slope = bdf_step(rhs, window, 0.1, *step_weights(window, 0.1))
-    shifted = window.advanced(window.times[-1] + 0.1, y, slope)
+    y, slope, _ = solve_from(rhs, window, 0.1, *step_weights(window, 0.1))
+    shifted = window._shifted(window.times[-1] + 0.1, np.vstack((window.states[1:], y)), slope)
     for new in (stepped, shifted):
         for field in (new.states, new.slope):
             assert not field.flags.writeable
@@ -546,10 +549,11 @@ def test_conjugate_branch_conjugates_output():
     a1 = solve_alpha1(uniform_ratios(p))
     out = {}
     for branch, a in (("plus", a1), ("minus", a1.conjugate())):
-        y_mid, _ = bdf_step(rhs, window, a * tau, *step_weights(window, a * tau), cfg)
-        mid = window.advanced(window.times[-1] + a * tau, y_mid)
+        y_mid, _, _ = solve_from(rhs, window, a * tau, *step_weights(window, a * tau), cfg)
+        mid = HistoryWindow(window.times[1:] + (window.times[-1] + a * tau,),
+                            (*window.states[1:], y_mid))
         tau2 = (window.times[-1] + tau) - mid.times[-1]
-        y_hat, _ = bdf_step(rhs, mid, tau2, *step_weights(mid, tau2), cfg)
+        y_hat, _, _ = solve_from(rhs, mid, tau2, *step_weights(mid, tau2), cfg)
         out[branch] = y_hat[0]
     assert abs(out["plus"] - out["minus"].conjugate()) < 1e-12
     assert abs(out["plus"].real - out["minus"].real) < 1e-12
@@ -573,10 +577,11 @@ def test_composed_step_matches_reference_substeps(rng, p):
             continue
         _, out = composed_step(rhs, window, tau, setup, cfg)
         tau1 = setup.alpha1 * tau
-        y_half, _ = bdf_step(rhs, window, tau1, *step_weights(window, tau1), cfg)
-        mid = window.advanced(window.times[-1] + tau1, y_half)
+        y_half, _, _ = solve_from(rhs, window, tau1, *step_weights(window, tau1), cfg)
+        mid = HistoryWindow(window.times[1:] + (window.times[-1] + tau1,),
+                            (*window.states[1:], y_half))
         tau2 = (window.times[-1] + tau) - mid.times[-1]
-        y_hat, _ = bdf_step(rhs, mid, tau2, *step_weights(mid, tau2), cfg)
+        y_hat, _, _ = solve_from(rhs, mid, tau2, *step_weights(mid, tau2), cfg)
         composed = out.y_real + 1j * out.error_estimate_raw
         assert np.max(np.abs(composed - y_hat)) <= 1e-12 * np.max(np.abs(y_hat))
         checked += 1

@@ -133,6 +133,13 @@ def test_bootstrap_rejects_bad_step(tau):
         bootstrap(builtin("cubic_decay"), 2, tau)
 
 
+@pytest.mark.parametrize("t_end", [0.0, -1.0, math.inf, math.nan])
+def test_problem_rejects_an_empty_backward_or_non_finite_interval(t_end):
+    base = builtin("cubic_decay")
+    with pytest.raises(ValueError, match="t0 < t_end"):
+        ODEProblem(base.rhs, base.t0, base.y0, t_end, base.exact, base.name)
+
+
 def test_from_record():
     prob = from_record({"name": "slow", "rhs": "lambert", "delta": 0.05})
     assert prob.name == "slow"

@@ -1,5 +1,6 @@
-"""Runs that step on one state array: bit for bit the checked window API,
-and no record, window or buffer that shares memory with another."""
+"""Runs that step on one state array: bit for bit the same steps taken
+window by window, and no record, window or buffer that shares memory with
+another."""
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 from cbdf import composition
 from cbdf.adaptivity import StepController, adaptive_drive, next_step
-from cbdf.bdf_core import coeff_fixed, implicit_solve, predictor_weights
+from cbdf.bdf_core import HistoryWindow, coeff_fixed, implicit_solve, predictor_weights
 from cbdf.cli import fixed_states, integrate_fixed
 from cbdf.composition import build_setup, composed_step, ratios_from_window
 from cbdf.problems import ODEProblem, bootstrap, builtin
@@ -39,8 +40,9 @@ CELLS = [("composed", p) for p in (1, 2, 3, 4)] + [("bdf", p) for p in (2, 3, 4,
 
 def reference_run(problem, scheme, p, tau):
     """The fixed-step run over windows: composed_step, or the implicit solve on
-    the window's arrays and HistoryWindow.advanced (bdf_step hands back no
-    Jacobian to keep); ``(times, states, jac_built)``."""
+    the window's arrays, each next window built by the public HistoryWindow
+    constructor, so no shift code is shared with the run; ``(times, states,
+    jac_built)``."""
     window = bootstrap(problem, p, tau)
     n_total = round((problem.t_end - problem.t0) / tau)
     weights = np.array(coeff_fixed(p))
@@ -56,7 +58,8 @@ def reference_run(problem, scheme, p, tau):
             with np.errstate(all="ignore"):
                 y, slope, jac = implicit_solve(problem.rhs, t_last, window.states, window.slope,
                                                window.jac, tau, weights, predictor)
-            window = window.advanced(t_last + tau, y, slope, jac)
+            window = HistoryWindow(window.times[1:] + (t_last + tau,), (*window.states[1:], y),
+                                   slope, jac)
         times.append(window.times[-1].real)
         states.append(y)
     return times, states, window.jac is not None
