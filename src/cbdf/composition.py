@@ -6,14 +6,15 @@ so a step allocates no window, history or record.
 
 The sub-step fraction, the positive-real-part root of an algebraic
 equation in the step ratios, comes from a scalar Newton iteration on
-``_fraction_equation``, the function the step-ratio bounds iterate, started
-from the uniform ladder's root; the cleared polynomial only feeds the
-companion matrix. The second-stage weights, the error constant and both
-sub-steps' predictor weights follow from it in closed form, over Python
-scalars, and the weights the two sub-steps read become arrays once per setup.
+``_fraction_equation``, started from the uniform ladder's root; the
+cleared polynomial only feeds the companion matrix. Both weight sets, both
+sub-steps' predictor weights and the error constant then follow from one
+scalar pass over one table of ratio differences, and become arrays once per
+setup. Bad ratios raise ValueError first, and a failed check a typed error.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache, reduce
@@ -25,13 +26,12 @@ from .bdf_core import (
     HistoryWindow,
     ImplicitSolveConfig,
     RhsFunction,
-    g_closed_form,
     implicit_solve,
-    predictor_weights,
 )
 from .errors import (
     DegenerateDenominator,
     DegenerateImaginaryPart,
+    DuplicateEps,
     NoAdmissibleRoot,
     NoConvergence,
     PoleEvaluation,
@@ -124,55 +124,70 @@ def crossing_ratio(c: Sequence[float]) -> float:
     raise NoConvergence(f"no imaginary-axis crossing found in 30 steps for the ladder {c}")
 
 
-def _offsets(alpha1: complex, r: tuple) -> tuple:
-    """The node-offset table of one composed step, ``(eps, w)``.
+def _ladder(ratios: Sequence[complex]) -> tuple:
+    """The ratios, as floats on a real ladder; ValueError unless finite and r_1 = 0."""
+    r = tuple(map(complex, ratios))
+    if not all(map(cmath.isfinite, r)) or r[:1] != (0,):
+        raise ValueError(f"step ratios must be finite and start at 0, got {r}")
+    x = tuple([v.real for v in r])
+    return x if x == r else r
 
-    ``eps_j = 1 + r_j/alpha1`` are the first sub-step's scaled offsets and
-    ``w = (1 - alpha1, 1 + r_1, .., 1 + r_p)`` the second's, the
-    intermediate node first.
-    """
-    return (tuple([1.0 + rv / alpha1 for rv in r]),
-            tuple([1.0 - alpha1] + [1.0 + rv for rv in r]))
+
+def _stage_weights(a: complex, r: tuple) -> tuple:
+    """``(w, g, G, pred1, pred2, F)`` at the fraction ``a`` on the ladder ``r``: the second
+    sub-step's node offsets, both weight sets, both predictor sets and F(a; 1) of
+    ``_fraction_equation``, from one table of ratio differences D_j = prod_{k != j} (r_j - r_k).
+    With A_j = a + r_j, g_j is (-1)^p a prod(A) / (A_j^2 D_j), and g_0 closes the set through
+    its zero-sum row as G_0 does; F and the checks read g_0 = a sum_j 1/A_j instead. The first
+    predictor weighs an older node A_j g_j / r_j and the newest -g_1. The second-stage offsets
+    w = (1 - a, 1 + r_j) differ by r_j - r_k, and by -A_j against the intermediate node, so
+    G's Lagrange denominators are w_j A_j D_j, and the second predictor drops the oldest node
+    by (r_p - r_j) / w_p."""
+    p = len(r)
+    A = [a + rv for rv in r]
+    if min(mags := [abs(Aj) for Aj in A]) <= 1e-14 * max(*mags, abs(a)):
+        raise DuplicateEps("a first-stage offset 1 + r_j/alpha1 vanishes")
+    w0, w = 1.0 - a, [1.0 + rv for rv in r]
+    P, Wr = math.prod(A), math.prod(w)
+    recip = sum([1.0 / Aj for Aj in A[:-1]])
+    g0 = a * (recip + 1.0 / A[-1])
+    if abs(w0 * g0 - a) < 1e-12 or w0 * P == 0:  # den_0 = (-1)^p w_0 P
+        raise DegenerateDenominator(f"|Ebar0*g0 - alpha1| = {abs(w0 * g0 - a):.3e}, Ebar0 = {w0}")
+    d0 = 1.0 - a / (w0 * g0)  # 1 + kappa / den_0
+    if abs(d0) < 1e-12:
+        raise DegenerateDenominator("corrected leading denominator vanished")
+    ga = (-1) ** p * a * P  # g_j = ga / (A_j^2 D_j); the rank-one term is kappa = -ga / g0
+    rw = -(-1) ** p * w0 * w0 * Wr  # node j's Lagrange quotient is rw / (w_j den_j)
+    x0 = -Wr / P / d0
+    kx0, rp, wp = ga / g0 * x0, r[-1], w[-1]
+    g, G, pred1, pred2 = [g0], [0.0, x0], [], []
+    for j, rj in enumerate(r):
+        AD = A[j]  # A_j D_j
+        for rk in r[:j] + r[j + 1:]:
+            AD *= rj - rk
+        den = w[j] * AD
+        if den == 0:
+            raise DegenerateDenominator("coincident node offsets")
+        g.append(ga / (A[j] * AD))
+        G.append((rw / w[j] + kx0) / den)
+        if j:
+            pred1.insert(0, ga / (AD * rj))
+        if j < p - 1:
+            pred2.insert(0, rw * (rp - rj) / (den * wp * A[j]))
+    G[0] = -sum(G)
+    g[0] = -sum(g[1:])  # the weights close through the zero-sum row, as G does
+    L = Wr / P * A[-1] / wp
+    pred1 += [-g[1] * (1.0 - a * sum([1.0 / rv for rv in r[1:]])), -g[1]]
+    pred2 += [L * (1.0 - w0 * recip), L]
+    return [w0] + w, g, G, pred1, pred2, w0 * w0 * g0 + a * (a + rp)
 
 
 def G_coefficients(alpha1: complex, ratios: Sequence[complex]) -> tuple:
-    """Second-stage weights G_0..G_{p+1} in closed form.
-
-    Solves the (p+2)-square moment system (Vandermonde rows in the node
-    offsets plus a rank-one correction carrying the first jump's leading
-    error) by Lagrange inversion, so every weight is a product over node
-    offsets. G_0 closes the set through the zero-sum row.
-    """
-    alpha1 = complex(alpha1)
-    return _G_from_offsets(alpha1, *_offsets(alpha1, tuple(map(complex, ratios))))
-
-
-def _G_from_offsets(alpha1: complex, eps: tuple, w: tuple) -> tuple:
-    """``G_coefficients`` from the node-offset table ``_offsets(alpha1, r)``."""
-    p = len(eps)
-    g0 = sum([1.0 / e for e in eps])
-    if abs(w[0] * g0 - alpha1) < 1e-12:
-        raise DegenerateDenominator(f"|Ebar0*g0 - alpha1| = {abs(w[0]*g0 - alpha1):.3e}")
-    kappa = (-alpha1) ** (p + 1) / g0 * math.prod(eps)
-    lead = -w[0] * (-1) ** p
-    raw, denom = [], []
-    for i, wi in enumerate(w):
-        num = 1.0 + 0j
-        den = wi
-        for l, wl in enumerate(w):
-            if l != i:
-                num *= wl
-                den *= wi - wl
-        if den == 0:
-            raise DegenerateDenominator("coincident node offsets")
-        raw.append(lead * num / den)
-        denom.append(den)
-    d0 = 1.0 + kappa / denom[0]
-    if abs(d0) < 1e-12:
-        raise DegenerateDenominator("corrected leading denominator vanished")
-    x0 = raw[0] / d0
-    x = [x0] + [raw[i] - kappa * x0 / denom[i] for i in range(1, p + 1)]
-    return (-sum(x),) + tuple(x)
+    """Second-stage weights G_0..G_{p+1} in closed form: the Lagrange solution of the
+    (p+2)-square moment system (Vandermonde rows in the node offsets plus a rank-one
+    correction carrying the first jump's leading error) over ``build_setup``'s table of
+    ratio differences. G_0 closes the set through the zero-sum row."""
+    return tuple(_stage_weights(complex(alpha1), _ladder(ratios))[2])
 
 
 # Newton steps allowed before the companion matrix takes over; from the
@@ -211,24 +226,21 @@ def _uniform_root(p: int) -> complex:
 
 
 def _admissible_root(r: tuple) -> tuple:
-    """``(alpha1, eps, w, G)`` for the root solve_alpha1 picks: the root, its
-    node-offset table ``_offsets(alpha1, r)`` and ``G_coefficients(alpha1, r)``.
+    """``(alpha1, _stage_weights(alpha1, r))`` for the root solve_alpha1 picks.
 
-    ``r`` holds the ratios as complex numbers. On a real ladder, Newton's
+    ``r`` is a ladder as ``_ladder`` returns it. On a real ladder, Newton's
     iteration on ``_fraction_equation`` from the uniform ladder's root is
     kept when it settles in the open upper-right quadrant: at most one root
     lies there, so it is the root the companion rule picks. Otherwise every
     root comes from the companion matrix and the rule of solve_alpha1 picks one.
     """
-    real = all([rv.imag == 0.0 for rv in r])
-    z = _newton_root(r, _uniform_root(len(r))) if real else None
+    z = _newton_root(r, _uniform_root(len(r))) if type(r[0]) is float else None
     if z is None or not (z.real > 0.0 and z.imag > 0.0):
         z = _companion_root(r)
-    eps, w = _offsets(z, r)
-    G = _G_from_offsets(z, eps, w)
-    if abs(G[-1]) > 1e-9:
-        raise NoConvergence(f"refined root leaves |G_(p+1)| = {abs(G[-1]):.3e}")
-    return z, eps, w, G
+    table = _stage_weights(z, r)
+    if abs(table[2][-1]) > 1e-9:
+        raise NoConvergence(f"refined root leaves |G_(p+1)| = {abs(table[2][-1]):.3e}")
+    return z, table
 
 
 def solve_alpha1(ratios: Sequence[complex]) -> complex:
@@ -242,7 +254,7 @@ def solve_alpha1(ratios: Sequence[complex]) -> complex:
     Raises NoAdmissibleRoot when every root has Re <= 0, and NoConvergence
     when the root leaves the trailing weight G_(p+1) above 1e-9.
     """
-    return _admissible_root(tuple(map(complex, ratios)))[0]
+    return _admissible_root(_ladder(ratios))[0]
 
 
 _GBAR_FORMS = {
@@ -296,23 +308,20 @@ def _error_constant(alpha1: complex, w: tuple, g: tuple, G: tuple) -> float:
 def build_setup(ratios: Sequence[complex]) -> CompositionSetup:
     """Solve the fraction equation and assemble all per-step constants.
 
-    A pure function of the ratios it is given. A caller that steps on a
-    uniform grid builds the setup once and passes it to every step. Raises
-    ValueError when the root leaves ``_fraction_equation`` above 1e-9.
+    A pure function of the ratios, r_1 = 0 first: a caller that steps on a
+    uniform grid builds the setup once. Past the root, ``_stage_weights`` gives
+    every weight in one pass. Raises ValueError on ratios ``_ladder`` refuses,
+    NoAdmissibleRoot, NoConvergence when the root leaves |G_(p+1)| or
+    ``_fraction_equation`` above 1e-9, DegenerateDenominator on coincident node
+    offsets, DuplicateEps on a vanishing one and DegenerateImaginaryPart.
     """
-    r = tuple(map(complex, ratios))
-    alpha1, eps, w, G = _admissible_root(r)
-    residual = abs(_fraction_equation(alpha1, r, 1.0)[0])
-    if residual > 1e-9:
-        raise ValueError(f"root condition violated: |residual| = {residual:.3e}")
-    g = g_closed_form(eps)
+    r = _ladder(ratios)
+    alpha1, (w, g, G, pred1, pred2, F) = _admissible_root(r)
+    if abs(F) > 1e-9:
+        raise NoConvergence(f"root condition violated: |residual| = {abs(F):.3e}")
     p = len(r)
-    # the window's nodes in units of the step, from t_{n-1} = 0, oldest first
-    nodes = [-rv for rv in reversed(r)]
-    # one conversion: g_0..g_p, G_0..G_p and the two predictor sets, p + 1 each
     q = p + 1
-    rows = np.array((*g, *G[:q], *predictor_weights(nodes, alpha1),
-                     *predictor_weights(nodes[1:] + [alpha1], 1.0)), dtype=complex)
+    rows = np.array(g + G[:q] + pred1 + pred2, dtype=complex)
     rows.setflags(write=False)
     return CompositionSetup(
         p=p,

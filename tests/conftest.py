@@ -16,34 +16,36 @@ from cbdf.composition import _error_constant
 from cbdf.polyroot import solve_dense
 
 
-def stage1_system(eps):
-    """Moment system for the first-stage weights in the scaled offsets."""
+def stage1_system(eps, dtype=complex):
+    """Moment system for the first-stage weights in the scaled offsets;
+    ``dtype=object`` keeps the arithmetic of the entries of ``eps``."""
     p = len(eps)
-    a = np.zeros((p + 1, p + 1), dtype=complex)
+    a = np.zeros((p + 1, p + 1), dtype=dtype)
     a[0, :] = 1.0
     for m in range(1, p + 1):
         for j in range(1, p + 1):
             a[m, j] = eps[j - 1] ** m
-    rhs = np.zeros(p + 1, dtype=complex)
+    rhs = np.zeros(p + 1, dtype=dtype)
     rhs[1] = -1.0
     return a, rhs
 
 
-def stage2_system(alpha1, ratios):
-    """Second-stage moment system with the first-jump error correction row."""
-    r = np.asarray(ratios, dtype=complex)
+def stage2_system(alpha1, ratios, dtype=complex):
+    """Second-stage moment system with the first-jump error correction row;
+    ``dtype=object`` keeps the arithmetic of ``alpha1`` and the ratios."""
+    r = np.asarray(ratios, dtype=dtype)
     p = len(r)
     eps = 1.0 + r / alpha1
     g0 = np.sum(1.0 / eps)
     ebar = np.concatenate(([1.0 - alpha1], 1.0 + r))
     n = p + 2
-    a = np.zeros((n, n), dtype=complex)
+    a = np.zeros((n, n), dtype=dtype)
     a[0, :] = 1.0
     for m in range(1, p + 2):
         for i in range(p + 1):
             a[m, 1 + i] = ebar[i] ** m
     a[p + 1, 1] += (-alpha1) ** (p + 1) / g0 * np.prod(eps)
-    rhs = np.zeros(n, dtype=complex)
+    rhs = np.zeros(n, dtype=dtype)
     rhs[1] = -ebar[0]
     return a, rhs
 
@@ -56,6 +58,54 @@ def error_constant_at(alpha1, ratios):
     G = solve_dense(*stage2_system(alpha1, r))
     w = (1.0 - alpha1,) + tuple(1.0 + rv for rv in r)
     return _error_constant(alpha1, w, tuple(g), tuple(G))
+
+
+def _hermite_weights(nodes, t_new):
+    """Weights at ``t_new`` of the degree-p polynomial through the p states at
+    ``nodes``, oldest first, with the slope at the newest node: the Hermite
+    basis products, the slope weight divided by the step t_new - nodes[-1]."""
+    *old, last = nodes
+    h = t_new - last
+
+    def lagrange(j):
+        out = 1
+        for k, tk in enumerate(nodes):
+            if k != j:
+                out *= (t_new - tk) / (nodes[j] - tk)
+        return out
+
+    psi = 1
+    for tk in nodes:
+        psi *= t_new - tk
+    for tk in old:
+        psi /= last - tk
+    weights = [lagrange(j) * h / (tj - last) for j, tj in enumerate(old)]
+    newest = lagrange(len(old))
+    weights.append(newest - psi * sum(1 / (last - tk) for tk in old))
+    return weights + [psi / h]
+
+
+def setup_oracle(alpha1, ratios):
+    """``build_setup``'s four weight sets ``(g, G_0..G_p, predictor 1, predictor 2)``
+    and error constant at the fraction ``alpha1``, in 50-digit arithmetic:
+    the dense stage systems solved by ``mp.lu_solve``, the Hermite predictor
+    products on each sub-step's nodes in units of the step, and the
+    error-constant formula on those weights. Returns complex and float values."""
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp
+    with mp.workdps(50):
+        a = mp.mpc(alpha1)
+        r = [mp.mpc(v) for v in ratios]
+        solve = lambda m, rhs: list(mp.lu_solve(mp.matrix(m.tolist()), mp.matrix(rhs.tolist())))
+        g = solve(*stage1_system([1 + rv / a for rv in r], dtype=object))
+        G = solve(*stage2_system(a, r, dtype=object))
+        nodes = [-rv for rv in reversed(r)]
+        pred1 = _hermite_weights(nodes, a)
+        pred2 = _hermite_weights(nodes[1:] + [a], mp.mpf(1))
+        w = (1 - a,) + tuple(1 + rv for rv in r)
+        c = _error_constant(a, w, tuple(g), tuple(G))
+        sets = [[complex(v) for v in s] for s in (g, G[:len(r) + 1], pred1, pred2)]
+        return sets, float(c)
 
 
 _ABS_TOL = 1e-9  # the stability module's slack on the root-magnitude bound

@@ -1,4 +1,5 @@
 """The composed two-jump flow and its per-step constants."""
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -24,13 +25,19 @@ from cbdf.composition import (
     ratios_from_window,
     solve_alpha1,
 )
-from cbdf.errors import NoAdmissibleRoot, NoConvergence, PoleEvaluation
+from cbdf.errors import (
+    DegenerateDenominator,
+    NoAdmissibleRoot,
+    NoConvergence,
+    PoleEvaluation,
+)
 from cbdf.polyroot import find_roots, solve_dense
 from conftest import (
     draw_alpha,
     draw_eps,
     draw_ratios,
     error_constant_at,
+    setup_oracle,
     solve_from,
     stage2_system,
     step_weights,
@@ -281,19 +288,77 @@ def test_build_setup_keeps_the_ratios_it_was_given():
 
 
 def test_build_setup_rejects_a_root_off_the_fraction_equation(monkeypatch):
-    # a root one part in a million off leaves F(alpha1) near 1e-6, above
-    # the 1e-9 bound; the true root passes
-    r = tuple(map(complex, uniform_ratios(3)))
-    true = composition._admissible_root(r)[0]
-    for z, ok in ((true, True), (true * (1 + 1e-6), False)):
-        eps, w = composition._offsets(z, r)
-        G = composition._G_from_offsets(z, eps, w)
-        monkeypatch.setattr(composition, "_admissible_root", lambda _r: (z, eps, w, G))
-        if ok:
-            assert build_setup(r).alpha1 == true
-        else:
-            with pytest.raises(ValueError, match="root condition"):
-                build_setup(r)
+    # a root one part in a million off leaves |G_(p+1)| and F(alpha1) near
+    # 1e-6, above their 1e-9 bounds: the root solve failed, not the caller's
+    # arguments. Past the G check, the residual check still catches it; the
+    # true root passes both
+    r = uniform_ratios(3)
+    true = solve_alpha1(r)
+    off = true * (1 + 1e-6)
+    monkeypatch.setattr(composition, "_newton_root", lambda _r, _z: true)
+    assert build_setup(r).alpha1 == true
+    monkeypatch.setattr(composition, "_newton_root", lambda _r, _z: off)
+    with pytest.raises(NoConvergence, match=r"G_\(p\+1\)"):
+        build_setup(r)
+    monkeypatch.setattr(composition, "_admissible_root",
+                        lambda _r: (off, composition._stage_weights(off, _r)))
+    with pytest.raises(NoConvergence, match="root condition") as err:
+        build_setup(r)
+    # F(alpha1) to first order in the offset
+    F, Fa, _ = composition._fraction_equation(true, tuple(map(complex, r)), 1.0)
+    assert float(str(err.value).split("= ")[1]) == pytest.approx(abs(Fa * (off - true)), rel=1e-3)
+
+
+@pytest.mark.parametrize("ratios", [(0.0, float("nan"), 2.0), (0.0, float("inf")),
+                                    (0.0, 1.0, -float("inf")), (1.0, 2.0), ()])
+def test_build_setup_refuses_ratios_off_a_ladder_before_any_arithmetic(ratios):
+    # a non-finite ratio once reached the cleared polynomial, whose numpy
+    # warning escaped first under -W error; every ladder starts at r_1 = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="finite and start at 0"):
+            build_setup(ratios)
+
+
+@pytest.mark.parametrize("ratios,error", [
+    ((0.0, 1.0, 1.0), DegenerateDenominator),  # coincident ratios
+    ((0.0, 0.0, 2.0), DegenerateDenominator),  # r_2 = 0 coincides with the newest node
+    ((0.0, -1.0, -2.0), DegenerateDenominator),  # a node at the step's end: w_2 = 0
+    ((0.0, 1.0 / 0.30), NoAdmissibleRoot),  # past the first-step bound
+])
+def test_build_setup_raises_typed_errors(ratios, error):
+    with pytest.raises(error):
+        build_setup(ratios)
+
+
+def test_build_setup_on_a_complex_ladder():
+    got = build_setup((0.0, 1.0 + 0.2j, 2.0)).alpha1
+    assert abs(got - (0.3098074339183327 + 0.9128193012802158j)) <= 1e-14
+
+
+def test_setup_matches_a_50_digit_oracle():
+    # every weight set within 4e-15 of its largest weight, the error
+    # constant within 1e-9, against 50-digit dense solves and products at
+    # the double root; g and G sum to zero within 4e-16 of their largest
+    # weight
+    rng = np.random.default_rng(27)
+    ladders = [uniform_ratios(p) for p in range(1, 9)]
+    ladders += [draw_ratios(rng, 1 + k % 8) for k in range(160)]
+    checked = 0
+    for r in ladders:
+        try:
+            s = build_setup(r)
+        except (NoAdmissibleRoot, NoConvergence):
+            continue
+        sets, c = setup_oracle(s.alpha1, r)
+        for got, want in zip((s.step1[0], s.step2[0], s.step1[1], s.step2[1]), sets):
+            assert np.max(np.abs(got - want)) <= 4e-15 * np.max(np.abs(want))
+        assert abs(s.error_constant - c) <= 1e-9 * abs(c)
+        # both weight sets close through their zero-sum rows
+        for weights in (s.step1[0], s.step2[0]):
+            assert abs(np.sum(weights)) <= 4e-16 * np.max(np.abs(weights))
+        checked += 1
+    assert checked >= 100
 
 
 def test_G_trailing_weight_vanishes_at_root():
@@ -709,6 +774,14 @@ def test_degenerate_denominator():
     # Ebar0 * g0 - alpha1 vanishes at alpha1 = 1/2 for the one-point window
     with pytest.raises(DegenerateDenominator):
         G_coefficients(0.5 + 0j, (0.0,))
+
+
+def test_vanishing_first_stage_offset():
+    from cbdf.errors import DuplicateEps
+
+    # alpha1 = -r_2 puts the first sub-step's end on a node: eps_2 = 0
+    with pytest.raises(DuplicateEps):
+        G_coefficients(1.0 + 0j, (0.0, -1.0))
 
 
 def test_degenerate_imaginary_part():
