@@ -29,6 +29,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -127,6 +128,7 @@ class ImplicitSolveConfig:
             raise ValueError("max_iterations must be at least 1")
 
 
+@lru_cache(maxsize=None)
 def coeff_fixed(p: int) -> tuple:
     """Uniform-grid weights (g_0, ..., g_p) of order p, exact rationals evaluated in floats."""
     if not 1 <= p <= MAX_ORDER:

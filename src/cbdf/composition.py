@@ -11,6 +11,8 @@ cleared polynomial only feeds the companion matrix. Both weight sets, both
 sub-steps' predictor weights and the error constant then follow from one
 scalar pass over one table of ratio differences, and become arrays once per
 setup. Bad ratios raise ValueError first, and a failed check a typed error.
+``CompositionSetup.recurrence`` gives a step's linear map on y' = lambda*y from
+the arrays ``composed_solve`` reads, for every linear analysis to share.
 """
 from __future__ import annotations
 
@@ -18,6 +20,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache, reduce
+from itertools import combinations
 from typing import Sequence
 
 import numpy as np
@@ -57,6 +60,23 @@ class CompositionSetup:
         """The local-error estimate of a step whose result has imaginary part ``raw``."""
         return abs(self.error_constant) * float(np.abs(raw).max())
 
+    def recurrence(self, z) -> np.ndarray:
+        """Ascending, coefficient-major ``[p + 1, N]`` polynomial a of one step on y' = lambda*y
+        at every z = tau*lambda of ``z``: the history y_(n+1-p)..y_n steps to the y_(n+1) with
+        sum_j a[j] y_(n+1-p+j) = 0, so c_j = -a[p - j] / a[p]. Cleared of the first sub-step's
+        pole, lead = alpha1 z - g_0: a[p] = lead (G_0 - (1 - alpha1) z), a[p - i] =
+        lead G_(i+1) + G_1 g_i, a[0] = G_1 g_p, in this operand order, as FMA rounds by it."""
+        z, p, a1 = np.asarray(z, dtype=complex).ravel(), self.p, self.alpha1
+        g, G = self.step1[0].tolist(), self.step2[0].tolist()
+        a = np.empty((p + 1, z.size), dtype=complex)
+        lead = a1 * z - g[0]
+        np.multiply(lead, G[0] - (1.0 - a1) * z, out=a[p])
+        for i in range(1, p):
+            np.multiply(lead, G[i + 1], out=a[p - i])
+            a[p - i] += G[1] * g[i]
+        a[0] = G[1] * g[p]
+        return a
+
 
 @dataclass(frozen=True)
 class ComposedStepOutput:
@@ -83,14 +103,18 @@ def alpha1_polynomial(ratios: Sequence[complex]) -> np.ndarray:
     Multiplying (1-a)^2 * sum_j a/(a+r_j) + a^2 (1 + r_p/a) = 0 by
     prod_j (a+r_j) and deflating the spurious root a = 0 (introduced by
     r_1 = 0) leaves (1-a)^2 (aP)' + (a^2 + r_p a) P with P = prod_{j>=2} (a+r_j),
-    a polynomial of degree p+1 with leading coefficient p+1. Raises ValueError
-    on ratios ``_ladder`` refuses, before any arithmetic.
+    a polynomial of degree p+1 with leading coefficient p+1. Raises ValueError on
+    ratios ``_ladder`` refuses, before any arithmetic, or that overflow a coefficient.
     """
     r = np.asarray(_ladder(ratios), dtype=complex)
-    P = reduce(np.convolve, [[rj, 1.0] for rj in r[1:]], np.ones(1, dtype=complex))
-    # (aP)' has a^k coefficient (k+1) P_k
-    return (np.convolve([1.0, -2.0, 1.0], np.arange(1, len(P) + 1) * P)
-            + np.convolve([0.0, r[-1], 1.0], P))
+    with np.errstate(all="ignore"):
+        P = reduce(np.convolve, [[rj, 1.0] for rj in r[1:]], np.ones(1, dtype=complex))
+        # (aP)' has a^k coefficient (k+1) P_k
+        poly = (np.convolve([1.0, -2.0, 1.0], np.arange(1, len(P) + 1) * P)
+                + np.convolve([0.0, r[-1], 1.0], P))
+    if not np.isfinite(poly).all():
+        raise ValueError(f"step ratios {r.tolist()} overflow the fraction polynomial")
+    return poly
 
 
 def _fraction_equation(a: complex, c: Sequence[complex], s: float) -> tuple:
@@ -148,9 +172,10 @@ def _stage_weights(a: complex, r: tuple) -> tuple:
     A = [a + rv for rv in r]
     if min(mags := [abs(Aj) for Aj in A]) <= 1e-14 * max(*mags, abs(a)):
         raise DuplicateEps("a first-stage offset 1 + r_j/alpha1 vanishes")
+    # as in g_closed_form, two nodes (the new one at -1 too) within 1e-14 of the scale coincide
+    if min([abs(u - v) for u, v in combinations((-1.0,) + r, 2)]) <= 1e-14 * max(1.0, *map(abs, r)):
+        raise DegenerateDenominator(f"two of the nodes -1, {r} coincide")
     w0, w = 1.0 - a, [1.0 + rv for rv in r]
-    if 0 in w:  # the second predictor divides by w_p before the loop reaches w_j
-        raise DegenerateDenominator("a ratio of -1 puts a history node on the new node")
     P, Wr = math.prod(A), math.prod(w)
     recip = sum([1.0 / Aj for Aj in A[:-1]])
     g0 = a * (recip + 1.0 / A[-1])
@@ -169,8 +194,6 @@ def _stage_weights(a: complex, r: tuple) -> tuple:
         for rk in r[:j] + r[j + 1:]:
             AD *= rj - rk
         den = w[j] * AD
-        if den == 0:
-            raise DegenerateDenominator("coincident node offsets")
         g.append(ga / (A[j] * AD))
         G.append((rw / w[j] + kx0) / den)
         if j:

@@ -2,9 +2,10 @@
 scaled eigenvalue z, rasterized stability regions, and sector angles.
 
 A point is stable when no root of the one-step recurrence polynomial has
-magnitude above 1 + 1e-9. A Schur-Cohn recursion classifies points with no
-roots computed, on an ascending, coefficient-major [degree + 1, N] array that
-the coefficient builder writes directly: each pass runs along the points.
+magnitude above 1 + 1e-9. The composed polynomial is ``CompositionSetup.recurrence``
+of the uniform setup the integrator steps with. A Schur-Cohn recursion classifies
+points with no roots computed, on an ascending, coefficient-major [degree + 1, N]
+array that the coefficient builder writes directly: each pass runs along the points.
 Rasters are classified in blocks of ``_BLOCK`` points. A block holds its
 coefficients, their magnitudes and two [degree, N] pass buffers, each made
 once, so a raster's memory is that plus its [nx, ny] mask, whatever the grid
@@ -22,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from .bdf_core import coeff_fixed
-from .composition import build_setup
+from .composition import CompositionSetup, build_setup
 from .errors import EmptySector, OrderOutOfRange
 
 _ABS_TOL = 1e-9  # slack on the unit-disk root-magnitude bound
@@ -33,11 +34,10 @@ _LOCUS_MAX = 1e8
 # Raster points per classification block. At order 9 and B = 4096 a block
 # holds its [10, B] complex coefficients (0.6 MiB), their [10, B] magnitudes
 # (0.3 MiB) and two [9, B] complex pass buffers (0.56 MiB each): 2.1 MiB,
-# about one core's 2 MiB L2 on the 2-vCPU Xeon measured. An order-9 raster
-# at 401^2 peaks at 2.3 MiB of traced allocations. Blocks of 1024..8192 all
-# ran order-9 rasters faster than the whole array (152 against 437 ms at
-# 601^2 for 4096); 8192 was about 10 % faster still, but spills L2 and
-# doubles the traced peak.
+# about one core's 2 MiB L2 on the 2-vCPU Xeon measured. Blocks of 1024..8192
+# all ran order-9 rasters faster than the whole array (152 against 437 ms at
+# 601^2 for 4096); 8192 was about 10 % faster still, but spills L2 and doubles
+# the traced peak.
 _BLOCK = 4096
 
 
@@ -50,28 +50,14 @@ class StabilityRegion:
 
 
 @lru_cache(maxsize=None)
-def _uniform_stage_weights(p: int):
-    """First- and second-stage weights on the uniform grid for base order p."""
-    ratios = tuple(float(j - 1) for j in range(1, p + 1))
-    setup = build_setup(ratios)
-    return setup.alpha1, setup.step1[0].tolist(), setup.step2[0].tolist()
-
-
-@lru_cache(maxsize=None)
-def _bdf_weights(order: int) -> tuple:
-    """BDF weights of one order, built once from ``coeff_fixed``'s exact rationals."""
-    return coeff_fixed(order)
+def _uniform_setup(p: int) -> CompositionSetup:
+    """The composed setup of base order p on the uniform ladder 0, 1, .., p - 1."""
+    return build_setup(tuple(map(float, range(p))))
 
 
 def theta_coefficients(p: int, z: complex) -> tuple:
-    """Recurrence weights of the composed flow on y' = lambda*y at z = tau*lambda,
-    highest power first.
-
-    Uniform-grid setup (ratios j-1) with the fixed admissible sub-step
-    fraction for base order p.
-    """
-    if not 1 <= p <= 8:
-        raise OrderOutOfRange(f"base order must be in 1..8, got {p}")
+    """Recurrence weights of the composed flow of base order p, 1..8, on y' = lambda*y
+    at z = tau*lambda, highest power first, on the uniform ladder's setup."""
     if np.ndim(z) != 0:
         raise ValueError(f"z must be a scalar, got shape {np.shape(z)}")
     return tuple(_char_coeffs(p + 1, np.array([z]), "composed")[::-1, 0])
@@ -84,24 +70,12 @@ def _char_coeffs(order: int, z: np.ndarray, scheme: str) -> np.ndarray:
     if scheme == "composed":
         if not 2 <= order <= 9:
             raise OrderOutOfRange(f"composed order must be in 2..9, got {order}")
-        p = order - 1
-        a1, g, Gk = _uniform_stage_weights(p)
-        a = np.empty((p + 1, z.size), dtype=complex)
-        lead = a1 * z - g[0]
-        np.multiply(lead, Gk[0] - (1.0 - a1) * z, out=a[p])
-        for i in range(1, p):
-            np.multiply(lead, Gk[i + 1], out=a[p - i])
-            a[p - i] += Gk[1] * g[i]
-        a[0] = Gk[1] * g[p]
-        return a
+        return _uniform_setup(order - 1).recurrence(z)
     if scheme == "bdf":
         if not 1 <= order <= 6:
             raise OrderOutOfRange(f"bdf order must be in 1..6, got {order}")
-        g = _bdf_weights(order)
-        a = np.empty((order + 1, z.size), dtype=complex)
-        np.subtract(g[0], z, out=a[order])
-        for i in range(1, order + 1):
-            a[order - i] = g[i]
+        a = np.repeat(np.array(coeff_fixed(order)[::-1])[:, None], z.size, axis=1)
+        a[order] -= z  # a[order - i] = g_i, a[order] = g_0 - z
         return a
     raise ValueError(f"unknown scheme {scheme!r}")
 

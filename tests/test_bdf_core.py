@@ -686,7 +686,7 @@ def test_production_paths_take_weights_from_their_caller(monkeypatch):
         raise AssertionError("coeff_variable called on a production path")
 
     monkeypatch.setattr(cbdf.bdf_core, "coeff_variable", refuse)
-    stability._uniform_stage_weights.cache_clear()  # rebuild its setup under the patch
+    stability._uniform_setup.cache_clear()  # rebuild its setup under the patch
     prob = builtin("cubic_decay")
     for scheme in ("bdf", "composed"):
         assert integrate_fixed(prob, scheme, 2, 0.1)

@@ -46,6 +46,8 @@ def test_roots_with_ratios(capsys):
 @pytest.mark.parametrize("ratios,code", [
     ("-1", 3),  # a history node on the new node: a solver failure
     ("inf", 2),  # refused before the cleared polynomial warns
+    ("1e-300", 3),  # a node within roundoff of the newest: once a bare ZeroDivisionError
+    ("1e308", 2),  # overflows the cleared polynomial, refused without its numpy warning
 ])
 def test_roots_on_bad_ratios_exit_2_or_3(capsys, ratios, code):
     with warnings.catch_warnings():

@@ -330,11 +330,25 @@ def test_build_setup_refuses_ratios_off_a_ladder_before_any_arithmetic(ratios):
     # w_p = 0 once divided the second predictor before any check: ZeroDivisionError
     ((0.0, -1.0), DegenerateDenominator),
     ((0.0, 1.0, -1.0), DegenerateDenominator),
+    # a node within roundoff of the newest once underflowed a predictor's
+    # denominator past the exact den == 0 test: ZeroDivisionError
+    ((0.0, 1e-300), DegenerateDenominator),
+    ((0.0, 1e-300, 1.0), DegenerateDenominator),
 ])
 def test_build_setup_raises_typed_errors(ratios, error):
     for f in (build_setup, solve_alpha1):
         with pytest.raises(error):
             f(ratios)
+
+
+def test_ratios_that_overflow_the_cleared_polynomial_raise_value_error():
+    # (0, 1e308) once warned from np.convolve before find_roots refused the
+    # polynomial, so the CLI died under -W error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for f in (build_setup, solve_alpha1, alpha1_polynomial):
+            with pytest.raises(ValueError, match="overflow the fraction polynomial"):
+                f((0.0, 1e308))
 
 
 def growth_ladder(p, omega):

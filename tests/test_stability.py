@@ -8,9 +8,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cbdf import stability
+from cbdf.adaptivity import ratio_clamp
 from cbdf.bdf_core import coeff_fixed, coeff_variable, implicit_solve, predictor_weights
 from cbdf.composition import build_setup, composed_solve, solve_alpha1
-from cbdf.errors import EmptySector
+from cbdf.errors import EmptySector, NoAdmissibleRoot
 from cbdf.stability import (
     _BLOCK,
     _char_coeffs,
@@ -21,7 +22,7 @@ from cbdf.stability import (
     stability_angle,
     theta_coefficients,
 )
-from conftest import stable_mask_reference
+from conftest import draw_ratios, stable_mask_reference
 
 
 def _stable_at(order, z, scheme="composed"):
@@ -200,10 +201,9 @@ _RECURRENCE_Z = (-3.0, -0.5 + 0.2j, 0.3j, 1.275j, -0.521 - 2.954j, -20.0 + 5.0j,
                  2.0 + 1.0j)
 
 
-def _recurrence_error(order, scheme, z, states, y_hat):
+def _recurrence_error(a, states, y_hat):
     """|y_hat + sum_i a[p-i] y_(n+1-i) / a[p]| relative to the history ``states``,
-    oldest first, with ``a`` the characteristic coefficients at ``z``."""
-    a = _char_coeffs(order, np.array([z]), scheme)[:, 0]
+    oldest first, with ``a`` the ascending characteristic coefficients at one z."""
     return np.max(np.abs(y_hat + (a[:-1] @ states) / a[-1])) / np.max(np.abs(states))
 
 
@@ -221,8 +221,76 @@ def test_stability_recurrence_is_the_composed_step(z, rng):
         with np.errstate(all="ignore"):
             y_hat, _, _ = composed_solve(lambda t, y: z * y, complex(p - 1), rows, None, None,
                                          1.0, build_setup(tuple(map(float, range(p)))))
-        assert _recurrence_error(p + 1, "composed", z, states, y_hat) <= 1e-12
+        a = _char_coeffs(p + 1, np.array([z]), "composed")[:, 0]
+        assert _recurrence_error(a, states, y_hat) <= 1e-12
         assert np.array_equal(rows[-1], y_hat.real)
+
+
+def _geometric_ladder(p, q):
+    """r_1 = 0 and r_j = q + .. + q^(j-1): each older gap q times the next newer,
+    in units of the upcoming step."""
+    return tuple(sum(q**k for k in range(1, j + 1)) for j in range(p))
+
+
+def _ladder_setups(rng, p):
+    """Setups on the random ladders of four draws that have an admissible root (past
+    the first-step bound some have none), on steps shrinking at the ratio clamp and on
+    steps growing by 1.5 each."""
+    setups = [build_setup(_geometric_ladder(p, q)) for q in (ratio_clamp(p), 1.0 / 1.5)]
+    for _ in range(4):
+        try:
+            setups.append(build_setup(draw_ratios(rng, p)))
+        except NoAdmissibleRoot:
+            pass
+    return setups
+
+
+@pytest.mark.parametrize("z", _RECURRENCE_Z)
+def test_stability_recurrence_is_the_composed_step_on_any_ladder(z, rng):
+    # the setup's own polynomial is the map its step makes on non-uniform
+    # ladders too, not only on the uniform one stability analyses
+    steps = 0
+    for p in range(1, 9):
+        for setup in _ladder_setups(rng, p):
+            states = _complex_history(rng, p)
+            rows = np.vstack((states, states[-1:]))
+            with np.errstate(all="ignore"):
+                y_hat, _, _ = composed_solve(lambda t, y: z * y, 0.0, rows, None, None, 1.0,
+                                             setup)
+            a = setup.recurrence([z])[:, 0]
+            c = -a[:-1] / a[-1]  # the map y_(n+1) = sum_j c_j y_(n+1-p+j), oldest first
+            # to 1e-12 of the terms' size: steps growing by 1.5 at p = 7, 8 amplify
+            # the history up to 1e4-fold, and the step sits up to 1.7e-11 from the
+            # map relative to the history's size, 1.0e-14 relative to the terms'
+            assert np.max(np.abs(y_hat - c @ states)) <= 1e-12 * np.max(np.abs(c) @ np.abs(states))
+            steps += 1
+    assert steps >= 32  # the 16 geometric ladders, and 20 of 32 random ones here
+
+
+def _hand_expansion(setup, z):
+    """The composed polynomial expanded term by term from ``.tolist()`` weights, in the
+    operand order the pinned masks, angles and bounds were computed with: numpy's
+    complex product of two arrays rounds by operand order."""
+    p, a1, g, Gk = setup.p, setup.alpha1, setup.step1[0].tolist(), setup.step2[0].tolist()
+    a = np.empty((p + 1, z.size), dtype=complex)
+    lead = a1 * z - g[0]
+    np.multiply(lead, Gk[0] - (1.0 - a1) * z, out=a[p])
+    for i in range(1, p):
+        np.multiply(lead, Gk[i + 1], out=a[p - i])
+        a[p - i] += Gk[1] * g[i]
+    a[0] = Gk[1] * g[p]
+    return a
+
+
+def test_recurrence_keeps_the_hand_expansions_bits():
+    # the benchmark's 201^2 raster window over [-8, 8]^2, and the locus fit points
+    c = -8.0 + (np.arange(201) + 0.5) * 16.0 / 201
+    raster = (c[:, None] + 1j * c[None, :]).ravel()
+    for p in range(1, 9):
+        setup = build_setup(tuple(map(float, range(p))))
+        for z in (raster, np.array([0.0, 1.0, -1.0], dtype=complex)):
+            assert np.array_equal(setup.recurrence(z), _hand_expansion(setup, z))
+            assert np.array_equal(_char_coeffs(p + 1, z, "composed"), _hand_expansion(setup, z))
 
 
 @pytest.mark.parametrize("z", _RECURRENCE_Z)
@@ -234,7 +302,7 @@ def test_stability_recurrence_is_the_bdf_step(z, rng):
         with np.errstate(all="ignore"):
             y, _, _ = implicit_solve(lambda t, y: z * y, complex(p - 1), states, None, None,
                                      1.0, weights, predictor)
-        assert _recurrence_error(p, "bdf", z, states, y) <= 1e-12
+        assert _recurrence_error(_char_coeffs(p, np.array([z]), "bdf")[:, 0], states, y) <= 1e-12
 
 
 def test_coefficients_are_coefficient_major():
