@@ -148,7 +148,8 @@ def adaptive_drive(
                     raise ValueError(f"tau0 {tau0!r} leaves no step before t_end = {t_end!r}")
                 return rec
             setup = build_setup(ratios_from_times(times, tau))
-            y_hat, slope, jac = composed_solve(problem.rhs, times[-1], rows, slope, jac, tau, setup)
+            y_hat, slope, jac = composed_solve(problem.rhs, times[-1], rows, slope, jac, tau,
+                                               setup.alpha1, setup.stages)
             rows[:-1] = rows[1:]
             times = times[1:] + [times[-1] + tau]
             t = times[-1].real

@@ -6,9 +6,9 @@ later steps read as views. The step works on raw arrays, under an
 ``np.errstate`` its caller holds once per step or per run. Its weights
 come from the caller: the step weights ``(g_0, g_1..g_p)`` and the
 predictor weights that extrapolate the history, states and newest slope,
-to the new node. ``coeff_fixed`` and ``predictor_weights`` give both for
-a uniform grid, and a composed step passes the two sets of each that its
-``CompositionSetup`` carries as arrays. Until a run first needs Newton,
+to the new node. ``composition.composed_solve`` calls it once per sub-step:
+once on ``coeff_fixed`` and the uniform grid's ``predictor_weights`` for
+BDF-p, twice on the arrays of a ``CompositionSetup``. Until a run first needs Newton,
 a fixed-point sweep from the predictor runs while each sweep gains a
 digit; a slower or diverging one hands over to a simplified Newton, which
 builds the RHS Jacobian J = df/dy by finite differences, d RHS calls.

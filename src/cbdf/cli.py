@@ -18,7 +18,7 @@ import time
 import numpy as np
 
 from . import adaptivity, composition, problems, stability
-from .bdf_core import MAX_ORDER, coeff_fixed, implicit_solve, predictor_weights
+from .bdf_core import MAX_ORDER, coeff_fixed, predictor_weights
 from .errors import CbdfError, NoAdmissibleRoot, OrderOutOfRange, UnknownProblem
 from .polyroot import find_roots
 from .problems import bootstrap
@@ -47,8 +47,9 @@ def fixed_states(problem, scheme: str, p: int, tau: float) -> tuple:
     steps p..n_total and a view of their states. The composed scheme of base
     order p carries p history points and has order p + 1. A step ``tau`` that is
     not positive and finite, or that leaves fewer than p steps on the interval,
-    raises ValueError. Step i reads rows i..i+p-1 of one run-long state array
-    and writes row i+p. It ends at t0 + n_total tau, n_total = round((t_end - t0) / tau),
+    raises ValueError. Step i, a ``composed_solve`` call in both schemes (BDF-p is one
+    sub-step), reads rows i..i+p-1 of one run-long state array and writes row i+p.
+    It ends at t0 + n_total tau, n_total = round((t_end - t0) / tau),
     up to tau / 2 off t_end: stiff_arctan at tau = 1/40 ends at 6.275, not 2 pi.
     """
     if scheme not in ("bdf", "composed"):
@@ -57,23 +58,20 @@ def fixed_states(problem, scheme: str, p: int, tau: float) -> tuple:
     n_total = round((problem.t_end - problem.t0) / tau)
     if n_total < p:
         raise ValueError(f"tau {tau!r} gives {n_total} steps, fewer than the order {p}")
-    # a uniform grid has one ratio ladder, so one setup or weight set serves every step
+    # a uniform grid has one ratio ladder, so one (alpha1, stages) plan serves every step
     if scheme == "bdf":
-        weights = np.array(coeff_fixed(p))
-        predictor = np.array(predictor_weights(tuple(range(1 - p, 1)), 1.0))
+        predictor = predictor_weights(tuple(range(1 - p, 1)), 1.0)
+        alpha1, stages = 1.0, ((np.array(coeff_fixed(p)), np.array(predictor)),)
     else:
         setup = composition.build_setup(composition.ratios_from_window(window, tau))
+        alpha1, stages = setup.alpha1, setup.stages
     Y = np.empty((n_total + 1,) + window.states.shape[1:], dtype=complex)
     Y[:p] = window.states
     t, slope, jac, times = window.times[-1], window.slope, window.jac, []
     with np.errstate(all="ignore"):
         for i in range(n_total + 1 - p):
-            if scheme == "bdf":
-                Y[i + p], slope, jac = implicit_solve(problem.rhs, t, Y[i:i + p], slope, jac, tau,
-                                                      weights, predictor)
-            else:
-                _, slope, jac = composition.composed_solve(problem.rhs, t, Y[i:i + p + 1], slope,
-                                                           jac, tau, setup)
+            _, slope, jac = composition.composed_solve(problem.rhs, t, Y[i:i + p + 1], slope, jac,
+                                                       tau, alpha1, stages)
             t = t + tau
             times.append(t.real)
     return times, Y[p:]
@@ -148,8 +146,9 @@ def run_bench(problem, p_list, tau_list, out_path) -> list:
 def run_roots(p: int, ratios=None) -> complex:
     """Print every sub-step root candidate and mark the selected branch.
 
-    When no candidate has a positive real part, all roots are still listed
-    and no branch is marked. A base order outside 1..8 raises ValueError.
+    The residual is |G_(p+1)(z)| where Re z > 0, else |P(z)|, quietly inf on
+    overflow. When no candidate has a positive real part, all roots are still
+    listed and no branch is marked. A base order outside 1..8 raises ValueError.
     """
     if not 1 <= p <= MAX_ORDER:
         raise ValueError(f"base order must be in 1..{MAX_ORDER}, got {p}")
@@ -171,7 +170,8 @@ def run_roots(p: int, ratios=None) -> complex:
         if z.real > 0:
             res = abs(composition.G_coefficients(z, full)[-1])
         else:
-            res = abs(np.polynomial.polynomial.polyval(z, poly))
+            with np.errstate(all="ignore"):
+                res = abs(np.polynomial.polynomial.polyval(z, poly))
         mark = "*" if selected is not None and abs(z - selected) < 1e-13 * (1 + abs(z)) else ""
         print(f"{_fmt(z.real)},{_fmt(z.imag)},{_fmt(res)},{mark}")
     return selected

@@ -1,8 +1,8 @@
 """The two-jump composed flow: one base step of complex fraction alpha1,
 then one of 1 - alpha1, whose real output gains one order of accuracy and
-whose imaginary part estimates the local error. Both sub-steps run on raw
-arrays under one ``np.errstate``, in p + 1 rows of the caller's state array,
-so a step allocates no window, history or record.
+whose imaginary part estimates the local error. ``composed_solve`` loops
+over a step's sub-steps, a BDF-p step being the one of fraction 1, in p + 1
+rows of the caller's state array, and allocates no window, history or record.
 
 The sub-step fraction, the positive-real-part root of an algebraic
 equation in the step ratios, comes from a scalar Newton iteration on
@@ -49,12 +49,10 @@ class CompositionSetup:
     p: int
     alpha1: complex
     error_constant: float
-    # (weights, predictor) arrays of each sub-step, as implicit_solve takes them: the
-    # first-stage weights g_0..g_p with the predictor weights of the window's
-    # nodes, then the second-stage weights G_0..G_p with those of the
-    # intermediate history; each set is in units of its own sub-step
-    step1: tuple
-    step2: tuple
+    # the two sub-steps' (weights, predictor) arrays, as implicit_solve takes them, each in
+    # units of its sub-step: g_0..g_p with the predictor weights of the window's nodes,
+    # then G_0..G_p with those of the intermediate history
+    stages: tuple
 
     def error_estimate(self, raw: np.ndarray) -> float:
         """The local-error estimate of a step whose result has imaginary part ``raw``."""
@@ -67,7 +65,7 @@ class CompositionSetup:
         pole, lead = alpha1 z - g_0: a[p] = lead (G_0 - (1 - alpha1) z), a[p - i] =
         lead G_(i+1) + G_1 g_i, a[0] = G_1 g_p, in this operand order, as FMA rounds by it."""
         z, p, a1 = np.asarray(z, dtype=complex).ravel(), self.p, self.alpha1
-        g, G = self.step1[0].tolist(), self.step2[0].tolist()
+        g, G = (weights.tolist() for weights, _ in self.stages)
         a = np.empty((p + 1, z.size), dtype=complex)
         lead = a1 * z - g[0]
         np.multiply(lead, G[0] - (1.0 - a1) * z, out=a[p])
@@ -353,8 +351,7 @@ def build_setup(ratios: Sequence[complex]) -> CompositionSetup:
         p=p,
         alpha1=alpha1,
         error_constant=_error_constant(alpha1, w, g, G),
-        step1=(rows[:q], rows[2 * q:3 * q]),
-        step2=(rows[q:2 * q], rows[3 * q:]),
+        stages=((rows[:q], rows[2 * q:3 * q]), (rows[q:2 * q], rows[3 * q:])),
     )
 
 
@@ -372,10 +369,9 @@ def composed_step(
     real part of the second sub-step's slope as its slope; the output
     record holds that real part, the imaginary part and its error estimate.
     ``setup`` holds the constants for the window's step ratios,
-    ``build_setup(ratios_from_window(window, tau))``; raises ValueError when
-    its node count differs from the window's, and otherwise runs
-    ``composed_solve`` under one ``np.errstate`` on a copy of the window's
-    states, then builds the next window with the checked, copying constructor.
+    ``build_setup(ratios_from_window(window, tau))``; a node count other than the
+    window's raises ValueError. ``composed_solve`` runs under one ``np.errstate`` on a
+    copy of the window's states, and the checked, copying constructor builds the next window.
     """
     if setup.p != window.p:
         raise ValueError(f"setup for {setup.p} nodes, window holds {window.p}")
@@ -383,23 +379,25 @@ def composed_step(
     t_last, tau = window.times[-1], float(tau)
     with np.errstate(all="ignore"):
         y_hat, slope, jac = composed_solve(rhs, t_last, rows, window.slope, window.jac, tau,
-                                           setup, cfg)
+                                           setup.alpha1, setup.stages, cfg)
     new = HistoryWindow(window.times[1:] + (t_last + tau,), rows[1:], slope, jac)
     return new, ComposedStepOutput(y_hat.real, y_hat.imag, setup.error_estimate(y_hat.imag))
 
 
-def composed_solve(rhs, t_last, rows, slope, jac, tau, setup, cfg=ImplicitSolveConfig()) -> tuple:
-    """``composed_step`` on raw arrays and a float ``tau``: ``rows`` is a ``[p + 1, d]``
-    array whose first p rows hold the history ending at ``t_last``, with its
-    ``slope`` and kept ``jac``. Sub-step 1 writes ``rows[p]``, sub-step 2 reads
-    ``rows[1:]``, and ``rows[p]`` ends as Re y_hat. Returns ``(y_hat, Re slope, jac)``;
-    the caller holds ``np.errstate(all="ignore")``.
-    """
-    tau1 = setup.alpha1 * tau
-    t_half = t_last + tau1
-    rows[-1], f_half, jac = implicit_solve(rhs, t_last, rows[:-1], slope, jac, tau1, *setup.step1,
-                                           cfg)
-    y_hat, f_hat, jac = implicit_solve(rhs, t_half, rows[1:], f_half, jac,
-                                       (t_last + tau) - t_half, *setup.step2, cfg)
-    rows[-1] = y_hat.real
-    return y_hat, f_hat.real, jac
+def composed_solve(rhs, t_last, rows, slope, jac, tau, alpha1, stages,
+                   cfg=ImplicitSolveConfig()) -> tuple:
+    """One step of ``tau`` on raw arrays, as one loop over its sub-steps' ``(weights,
+    predictor)`` arrays ``stages``: ``rows[:p]`` of the ``[p + 1, d]`` ``rows`` is the history
+    ending at ``t_last``, with its ``slope`` and kept ``jac``. Sub-step k reads ``rows[k:k + p]``
+    and writes ``rows[p]``, which ends as Re y_hat; the first spans ``alpha1 * tau``, a second
+    ends at ``t_last + tau``. BDF-p is ``alpha1 = 1.0`` with the one stage ``coeff_fixed(p)``
+    and the uniform predictor. Returns ``(y_hat, Re slope, jac)``; the caller holds
+    ``np.errstate(all="ignore")``."""
+    p, t, last = len(rows) - 1, t_last, len(stages) - 1
+    for k, (weights, predictor) in enumerate(stages):
+        h = (t_last + tau) - t if k else alpha1 * tau
+        y_hat, slope, jac = implicit_solve(rhs, t, rows[k:k + p], slope, jac, h, weights,
+                                           predictor, cfg)
+        rows[p] = y_hat.real if k == last else y_hat
+        t = t + h
+    return y_hat, slope.real, jac

@@ -63,9 +63,9 @@ def find_roots_batch(coeff_rows) -> np.ndarray:
     """Roots of a batch of same-degree polynomials, as companion eigenvalues.
 
     ``coeff_rows`` is [batch, degree+1] in ascending degree order with
-    nonzero leading column. Returns roots as a [batch, degree] array
-    (unsorted), each polished by two Newton passes. Raises ValueError on a
-    non-finite coefficient or a vanishing leading coefficient, and
+    nonzero leading column. Returns roots as a [batch, degree] array (unsorted), each
+    polished by two Newton passes that quietly skip a step that is not finite. Raises
+    ValueError on a non-finite coefficient or a vanishing leading coefficient, and
     NoConvergence when LAPACK's eigenvalue iteration fails.
     """
     c = np.asarray(coeff_rows, dtype=complex)
@@ -84,13 +84,13 @@ def find_roots_batch(coeff_rows) -> np.ndarray:
         z = np.linalg.eigvals(companion)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"companion eigenvalues: {exc}") from exc
-    # two Newton polish passes on the original coefficients
+    # two Newton polish passes on the original coefficients; a root keeps its value where
+    # the step is not finite: P' vanishes there, or P or P' overflows at a huge root
     dcoef = c[:, 1:] * np.arange(1, n + 1)
-    for _ in range(2):
-        pv = _horner_batch(c, z)
-        dv = _horner_batch(dcoef, z)
-        safe = np.abs(dv) > 0
-        z = np.where(safe, z - np.where(safe, pv, 0) / np.where(safe, dv, 1), z)
+    with np.errstate(all="ignore"):
+        for _ in range(2):
+            step = _horner_batch(c, z) / _horner_batch(dcoef, z)
+            z = np.where(np.isfinite(step), z - step, z)
     return z
 
 

@@ -1,11 +1,12 @@
 """Linear stability of the composed flow: characteristic polynomial over the
 scaled eigenvalue z, rasterized stability regions, and sector angles.
 
-A point is stable when no root of the one-step recurrence polynomial has
-magnitude above 1 + 1e-9. The composed polynomial is ``CompositionSetup.recurrence``
-of the uniform setup the integrator steps with. A Schur-Cohn recursion classifies
-points with no roots computed, on an ascending, coefficient-major [degree + 1, N]
-array that the coefficient builder writes directly: each pass runs along the points.
+A point is stable when no root of the one-step recurrence polynomial has magnitude
+above 1 + 1e-9. The composed one is ``CompositionSetup.recurrence`` of the exact uniform
+ladder's setup; a fixed-step run's setup, from bootstrap ratios 1-2 ulp off the integers
+at p = 4 and 5, may differ in the last bits. A Schur-Cohn recursion classifies points
+with no roots computed, on an ascending, coefficient-major [degree + 1, N] array that
+the coefficient builder writes directly: each pass runs along the points.
 Rasters are classified in blocks of ``_BLOCK`` points. A block holds its
 coefficients, their magnitudes and two [degree, N] pass buffers, each made
 once, so a raster's memory is that plus its [nx, ny] mask, whatever the grid

@@ -604,13 +604,12 @@ def test_one_slope_evaluation_per_run(monkeypatch):
     # only the bootstrapped window lacks a slope: every later window, the
     # intermediate and the forwarded one, carries the slope of the sub-step
     # that built it
-    import cbdf.cli
     import cbdf.composition
     from cbdf import adaptivity
     from cbdf.cli import integrate_fixed
     from cbdf.problems import ODEProblem, builtin
 
-    wrap, counts = _count_slope_evaluations(monkeypatch, (cbdf.cli, cbdf.composition))
+    wrap, counts = _count_slope_evaluations(monkeypatch, (cbdf.composition,))
     for name, p in (("cubic_decay", 3), ("stiff_arctan", 4)):
         base = builtin(name)
         prob = ODEProblem(wrap(base.rhs), base.t0, base.y0, base.t_end, base.exact, base.name)

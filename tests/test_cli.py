@@ -1,6 +1,7 @@
 """CLI surface: subcommands, file formats, exit codes, determinism."""
 import ast
 import json
+import math
 import os
 import re
 import subprocess
@@ -54,6 +55,18 @@ def test_roots_on_bad_ratios_exit_2_or_3(capsys, ratios, code):
         warnings.simplefilter("error")
         assert main(["roots", "--p", "2", "--ratios", ratios]) == code
     assert capsys.readouterr().err.count("\n") == 1
+
+
+@pytest.mark.parametrize("ratio", ["1e108", "1e120", "1e150", "1e154"])
+def test_roots_on_huge_ratios_list_finite_candidates_quietly(capsys, ratio):
+    # the polish once printed -inf,nan candidates here, and the |P(z)| residual
+    # overflows at these roots: both warned, so -W error exited 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["roots", "--p", "2", "--ratios", ratio]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[2:]]
+    assert len(rows) == 3 and not any(row[3] for row in rows)  # no admissible root to mark
+    assert all(math.isfinite(float(v)) for row in rows for v in row[:2])
 
 
 def test_converge_csv_and_determinism(tmp_path, capsys):

@@ -351,6 +351,18 @@ def test_ratios_that_overflow_the_cleared_polynomial_raise_value_error():
                 f((0.0, 1e308))
 
 
+def test_huge_ratios_keep_finite_roots_and_have_no_admissible_one():
+    # the roots' Newton polish once overflowed at these ratios and turned finite
+    # roots into -inf/nan: (0, 1e108) then raised DuplicateEps, with numpy warnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.isfinite(find_roots(alpha1_polynomial((0.0, 1e150)))).all()
+        for ratios in ((0.0, 1e108), (0.0, 1e150)):
+            for f in (build_setup, solve_alpha1):
+                with pytest.raises(NoAdmissibleRoot):
+                    f(ratios)
+
+
 def growth_ladder(p, omega):
     """r_1 = 0 and r_j = sum_{k<j} omega^-k: each step omega times the last."""
     return tuple(sum(omega ** -k for k in range(1, j + 1)) for j in range(p))
@@ -396,11 +408,11 @@ def test_setup_matches_a_50_digit_oracle():
         except (NoAdmissibleRoot, NoConvergence):
             continue
         sets, c = setup_oracle(s.alpha1, r)
-        for got, want in zip((s.step1[0], s.step2[0], s.step1[1], s.step2[1]), sets):
+        for got, want in zip([w for w, _ in s.stages] + [q for _, q in s.stages], sets):
             assert np.max(np.abs(got - want)) <= 4e-15 * np.max(np.abs(want))
         assert abs(s.error_constant - c) <= 1e-9 * abs(c)
         # both weight sets close through their zero-sum rows
-        for weights in (s.step1[0], s.step2[0]):
+        for weights, _ in s.stages:
             assert abs(np.sum(weights)) <= 4e-16 * np.max(np.abs(weights))
         checked += 1
     assert checked >= 100
@@ -551,8 +563,8 @@ def test_composed_step_substep_nodes_and_forwarded_times():
 
 
 def test_composed_step_is_two_bdf_steps():
-    # bit for bit: the implicit solve with setup.step1 from the window, then
-    # the one with setup.step2 from the history shifted by the intermediate
+    # bit for bit: the implicit solve with setup.stages[0] from the window, then
+    # the one with setup.stages[1] from the history shifted by the intermediate
     # state, with that state's slope and the Jacobian the first solve
     # returned; the sweeps converge at tau = 1/160, while at tau = 0.05 a
     # window without a Jacobian hands over to Newton, which builds one for
@@ -571,11 +583,12 @@ def test_composed_step_is_two_bdf_steps():
             t_half = t_last + setup.alpha1 * tau
             with np.errstate(all="ignore"):
                 y_half, f_half, jac = implicit_solve(rhs, t_last, window.states, window.slope,
-                                                     window.jac, setup.alpha1 * tau, *setup.step1)
+                                                     window.jac, setup.alpha1 * tau,
+                                                     *setup.stages[0])
                 built += window.jac is None and jac is not None
                 mid = np.vstack((window.states[1:], y_half))
                 y_hat, f_hat, jac = implicit_solve(rhs, t_half, mid, f_half, jac,
-                                                   (t_last + tau) - t_half, *setup.step2)
+                                                   (t_last + tau) - t_half, *setup.stages[1])
             assert np.array_equal(out.y_real, y_hat.real)
             assert np.array_equal(out.error_estimate_raw, y_hat.imag)
             assert np.array_equal(new.states, np.vstack((window.states[1:], y_hat.real)))
@@ -747,7 +760,7 @@ def test_stage_equivalence(rng):
             first = coeff_variable(times, s.alpha1)
             # the second window's newest node is the intermediate one
             second = coeff_variable(times[1:] + (s.alpha1,), 1.0)
-            for (got, _), ref in ((s.step1, first), (s.step2, second)):
+            for (got, _), ref in zip(s.stages, (first, second)):
                 assert len(got) == len(ref) == p + 1
                 scale = max(1.0, max(abs(v) for v in ref))
                 assert max(abs(a - b) for a, b in zip(got, ref)) <= 1e-9 * scale
@@ -756,8 +769,8 @@ def test_stage_equivalence(rng):
             t0, tau = 2.5, 0.03
             real = tuple(t0 + tau * t for t in times)
             mid = t0 + tau * s.alpha1
-            for (_, got), nodes, target in ((s.step1, real, mid),
-                                            (s.step2, real[1:] + (mid,), t0 + tau)):
+            for (_, got), nodes, target in zip(s.stages, (real, real[1:] + (mid,)),
+                                               (mid, t0 + tau)):
                 ref = predictor_weights(nodes, target)
                 assert len(got) == len(ref) == p + 1
                 scale = max(abs(v) for v in ref)
@@ -799,10 +812,10 @@ def test_setup_invariants(rng):
         r = uniform_ratios(p)
         s = build_setup(r)
         eps_p = 1.0 + r[-1] / s.alpha1
-        assert abs(eps_p * s.alpha1**2 + s.step1[0][0] * (1.0 - s.alpha1) ** 2) <= 1e-9
+        assert abs(eps_p * s.alpha1**2 + s.stages[0][0][0] * (1.0 - s.alpha1) ** 2) <= 1e-9
         assert s.alpha1.real > 0
         G = G_coefficients(s.alpha1, r)
-        assert np.array_equal(s.step2[0], G[: p + 1])
+        assert np.array_equal(s.stages[1][0], G[: p + 1])
         assert abs(sum(G)) <= 1e-10
         assert abs(G[-1]) <= 1e-9
 

@@ -219,8 +219,9 @@ def test_stability_recurrence_is_the_composed_step(z, rng):
         states = _complex_history(rng, p)
         rows = np.vstack((states, states[-1:]))
         with np.errstate(all="ignore"):
+            setup = build_setup(tuple(map(float, range(p))))
             y_hat, _, _ = composed_solve(lambda t, y: z * y, complex(p - 1), rows, None, None,
-                                         1.0, build_setup(tuple(map(float, range(p)))))
+                                         1.0, setup.alpha1, setup.stages)
         a = _char_coeffs(p + 1, np.array([z]), "composed")[:, 0]
         assert _recurrence_error(a, states, y_hat) <= 1e-12
         assert np.array_equal(rows[-1], y_hat.real)
@@ -256,7 +257,7 @@ def test_stability_recurrence_is_the_composed_step_on_any_ladder(z, rng):
             rows = np.vstack((states, states[-1:]))
             with np.errstate(all="ignore"):
                 y_hat, _, _ = composed_solve(lambda t, y: z * y, 0.0, rows, None, None, 1.0,
-                                             setup)
+                                             setup.alpha1, setup.stages)
             a = setup.recurrence([z])[:, 0]
             c = -a[:-1] / a[-1]  # the map y_(n+1) = sum_j c_j y_(n+1-p+j), oldest first
             # to 1e-12 of the terms' size: steps growing by 1.5 at p = 7, 8 amplify
@@ -271,7 +272,8 @@ def _hand_expansion(setup, z):
     """The composed polynomial expanded term by term from ``.tolist()`` weights, in the
     operand order the pinned masks, angles and bounds were computed with: numpy's
     complex product of two arrays rounds by operand order."""
-    p, a1, g, Gk = setup.p, setup.alpha1, setup.step1[0].tolist(), setup.step2[0].tolist()
+    p, a1 = setup.p, setup.alpha1
+    g, Gk = (weights.tolist() for weights, _ in setup.stages)
     a = np.empty((p + 1, z.size), dtype=complex)
     lead = a1 * z - g[0]
     np.multiply(lead, Gk[0] - (1.0 - a1) * z, out=a[p])

@@ -157,14 +157,50 @@ def test_composed_step_leaves_its_window_and_shares_nothing_later(monkeypatch):
     assert shared_pairs(arrays) == []
 
 
-def test_composed_solve_writes_only_the_last_row():
+def bdf_plan(p):
+    """``(alpha1, stages)`` of a BDF-p step: one sub-step of fraction 1 on the uniform grid."""
+    predictor = predictor_weights(tuple(range(1 - p, 1)), 1.0)
+    return 1.0, ((np.array(coeff_fixed(p)), np.array(predictor)),)
+
+
+def composed_plan(window, tau):
+    setup = build_setup(ratios_from_window(window, tau))
+    return setup.alpha1, setup.stages
+
+
+@pytest.mark.parametrize("plan", [composed_plan, lambda window, tau: bdf_plan(window.p)],
+                         ids=["composed", "bdf"])
+def test_composed_solve_writes_only_the_last_row(plan):
     rhs = lambda t, y: LAM * y
     window = bootstrap(diagonal_linear(), 2, 0.05)
-    setup = build_setup(ratios_from_window(window, 0.05))
     rows = np.concatenate((window.states, np.full((1, 3), np.nan)))
     with np.errstate(all="ignore"):
         y_hat, slope, _ = composition.composed_solve(rhs, window.times[-1], rows, None, None, 0.05,
-                                                     setup)
+                                                     *plan(window, 0.05))
     assert np.array_equal(rows[:-1], window.states)
     assert np.array_equal(rows[-1], y_hat.real) and not np.any(rows[-1].imag)
     assert slope.dtype == float and math.isfinite(float(np.abs(slope).max()))
+
+
+@pytest.mark.parametrize("name", ["cubic_decay", "diagonal_linear"])
+def test_bdf_plan_step_is_one_implicit_solve(name):
+    # bit for bit: the state, the forwarded row (Re y), the real slope and the
+    # kept J; cubic_decay stays in the sweep, the diagonal system reaches Newton
+    # at its first step and keeps J for the later ones
+    make, tau = PROBLEMS[name]
+    problem, p = make(), 3
+    window = bootstrap(problem, p, tau)
+    t, states, slope, jac = window.times[-1], window.states, window.slope, window.jac
+    for _ in range(4):
+        rows = np.concatenate((states, np.full((1, states.shape[1]), np.nan)))
+        with np.errstate(all="ignore"):
+            y_hat, got_slope, got_jac = composition.composed_solve(problem.rhs, t, rows, slope,
+                                                                   jac, tau, *bdf_plan(p))
+            y, want_slope, want_jac = implicit_solve(problem.rhs, t, states, slope, jac, tau,
+                                                     *bdf_plan(p)[1][0])
+        assert y_hat.tobytes() == y.tobytes()
+        assert rows[p].tobytes() == y.real.astype(complex).tobytes()
+        assert got_slope.tobytes() == want_slope.real.tobytes()
+        assert (got_jac is None and want_jac is None) or got_jac.tobytes() == want_jac.tobytes()
+        t, states, slope, jac = t + tau, rows[1:], got_slope, got_jac
+    assert (jac is not None) == (name == "diagonal_linear")
