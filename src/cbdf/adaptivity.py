@@ -4,7 +4,8 @@ the admissible-ratio lower bounds, and the adaptive driver.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -16,8 +17,20 @@ _TAU_FLOOR = 1e-12  # smallest step the controller proposes
 _MAX_STEPS = 500000
 
 
+def _order(p) -> int:
+    """``p`` as an int; ValueError for an order that is not an integer, such as 4.0."""
+    try:
+        return operator.index(p)
+    except TypeError:
+        raise ValueError(f"base order {p!r} is not an integer") from None
+
+
 def ratio_clamp(p: int) -> float:
-    """Per-step growth/shrink factor ell_p keeping the sub-step root admissible."""
+    """Per-step growth/shrink factor ell_p keeping the sub-step root admissible.
+
+    An order that is not an integer in 1..8 raises ValueError.
+    """
+    p = _order(p)
     if p == 1:
         return 2.0
     if 2 <= p <= 5:
@@ -29,20 +42,18 @@ def ratio_clamp(p: int) -> float:
 
 @dataclass(frozen=True)
 class StepController:
-    """Tolerance and base order, which fixes the relative ratio clamp."""
+    """Tolerance and base order, which fixes the relative ratio clamp ``ell``,
+    ``ratio_clamp(p)``, computed once here."""
 
     p: int
     tol: float
+    ell: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        ratio_clamp(self.p)  # rejects an order outside 1..8
+        # rejects an order that is not an integer in 1..8
+        object.__setattr__(self, "ell", ratio_clamp(self.p))
         if not self.tol > 0:
             raise ValueError("tol must be positive")
-
-    @property
-    def ell(self) -> float:
-        """The ratio clamp ell_p of the base order."""
-        return ratio_clamp(self.p)
 
 
 def next_step(tau_n: float, e_n: float, ctl: StepController) -> float:
@@ -77,6 +88,7 @@ def min_ratio(p: int, mode: str = "first-step") -> float:
     crosses the imaginary axis (``crossing_ratio``). first-step: uniform history;
     steady: each prior ratio 1/rho, rho = p^(1/(p(p-1))).
     """
+    p = _order(p)
     if not 2 <= p <= 8:
         raise ValueError(f"base order must be in 2..8, got {p}")
     gaps = _history_gaps(p, mode)  # newest first, the newest of length 1
@@ -136,6 +148,7 @@ def adaptive_drive(
     if p != ctl.p:
         raise ValueError(f"base order {p} differs from the controller's order {ctl.p}")
     t_end = problem.t_end
+    t_stop = t_end - 1e-14 * max(1.0, abs(t_end))  # t_end, to 1e-14 relative
     window = bootstrap(problem, p, tau0, policy="exact")
     tau = float(tau0)
     rec = TrajectoryRecord([], [], [], [], [])
@@ -143,7 +156,7 @@ def adaptive_drive(
     slope, jac, t = window.slope, window.jac, times[-1].real
     with np.errstate(all="ignore"):
         for _ in range(_MAX_STEPS):
-            if t >= t_end - 1e-14 * max(1.0, abs(t_end)):
+            if t >= t_stop:
                 if not rec.taus:
                     raise ValueError(f"tau0 {tau0!r} leaves no step before t_end = {t_end!r}")
                 return rec

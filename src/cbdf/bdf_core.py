@@ -14,7 +14,9 @@ digit; a slower or diverging one hands over to a simplified Newton, which
 builds the RHS Jacobian J = df/dy by finite differences, d RHS calls.
 The window keeps J from then on, like its slope, and every later solve
 skips the sweep: Newton starts from the predictor on the solve's own
-matrix ``g_0 I - tau J``, inverted once per solve. J is rebuilt at the
+matrix ``g_0 I - tau J``, inverted once per solve against the complex
+identity of the state's size, which is built once per size. ``(g_0, tau)``
+changes on every sub-step, so no solve reuses another's inverse. J is rebuilt at the
 current iterate when an increment shrinks by less than a factor of a
 hundred; after that, an increment that fails to shrink raises
 NoConvergence. A solve handed a kept J that fails so is retried once as a
@@ -255,6 +257,14 @@ def _jacobian(rhs, t, y, f):
     return jac
 
 
+@lru_cache(maxsize=None)
+def _identity(d: int) -> np.ndarray:
+    """The read-only complex d x d identity, built once per state size."""
+    eye = np.eye(d, dtype=complex)
+    eye.setflags(write=False)
+    return eye
+
+
 def _newton_operator(g0, tau, hist, jac):
     """``(B, c)``, ``tau M^-1`` and ``M^-1 hist``, for the Newton matrix ``M = g0 I - tau J``.
 
@@ -264,16 +274,17 @@ def _newton_operator(g0, tau, hist, jac):
     cancel. M counts as singular once its inverse, with each row of M
     scaled by the size of its terms, ``|g0| + sum_j |tau J_ij|``, exceeds
     ``1 / _SINGULAR_RTOL``; a stiff row far from the others scales itself.
+    The identity is ``_identity``'s complex one, so ``g0 I`` casts nothing.
     """
-    eye = np.eye(jac.shape[0])
+    eye = _identity(jac.shape[0])
     tau_jac = tau * jac
     try:
         inv = solve_dense(g0 * eye - tau_jac, eye)
     except SingularMatrix as exc:
         raise SingularJacobian(str(exc)) from exc
     # (D^-1 M)^-1 = M^-1 D scales column j of the inverse by row j's terms
-    size = float(np.maximum.reduce(np.abs(inv) * (abs(g0) + np.abs(tau_jac).sum(axis=1)),
-                                   axis=None))
+    terms = abs(g0) + np.add.reduce(np.abs(tau_jac), axis=1)
+    size = float(np.maximum.reduce(np.abs(inv) * terms, axis=None))
     if size > 1.0 / _SINGULAR_RTOL:
         raise SingularJacobian(
             f"row-scaled newton matrix inverse {size:.3e} above 1 / {_SINGULAR_RTOL:.0e}"

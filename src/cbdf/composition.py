@@ -56,14 +56,15 @@ class CompositionSetup:
 
     def error_estimate(self, raw: np.ndarray) -> float:
         """The local-error estimate of a step whose result has imaginary part ``raw``."""
-        return abs(self.error_constant) * float(np.abs(raw).max())
+        return abs(self.error_constant) * float(np.maximum.reduce(np.abs(raw)))
 
     def recurrence(self, z) -> np.ndarray:
         """Ascending, coefficient-major ``[p + 1, N]`` polynomial a of one step on y' = lambda*y
         at every z = tau*lambda of ``z``: the history y_(n+1-p)..y_n steps to the y_(n+1) with
-        sum_j a[j] y_(n+1-p+j) = 0, so c_j = -a[p - j] / a[p]. Cleared of the first sub-step's
-        pole, lead = alpha1 z - g_0: a[p] = lead (G_0 - (1 - alpha1) z), a[p - i] =
-        lead G_(i+1) + G_1 g_i, a[0] = G_1 g_p, in this operand order, as FMA rounds by it."""
+        sum_j a[j] y_(n+1-p+j) = 0, so y_(n+1) = sum_j c_j y_(n+1-j), where c_j = -a[p - j] / a[p]
+        multiplies y_(n+1-j), j = 1..p. Cleared of the first sub-step's pole, lead = alpha1 z - g_0:
+        a[p] = lead (G_0 - (1 - alpha1) z), a[p - i] = lead G_(i+1) + G_1 g_i, a[0] = G_1 g_p,
+        in this operand order, as FMA rounds by it."""
         z, p, a1 = np.asarray(z, dtype=complex).ravel(), self.p, self.alpha1
         g, G = (weights.tolist() for weights, _ in self.stages)
         a = np.empty((p + 1, z.size), dtype=complex)

@@ -1,6 +1,6 @@
 """Shared oracle builders: dense moment systems, divided-difference step
-weights, the implicit step on a window's arrays, a row-major Schur-Cohn
-classifier and randomized draws.
+weights, the implicit step on a window's arrays, the Newton operator by its
+formula, a row-major Schur-Cohn classifier and randomized draws.
 
 The dense systems here are the independent reference route for the
 closed-form coefficient formulas, so they are assembled from scratch
@@ -11,8 +11,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from cbdf.bdf_core import ImplicitSolveConfig, coeff_variable, implicit_solve, predictor_weights
+from cbdf.bdf_core import (
+    _SINGULAR_RTOL,
+    ImplicitSolveConfig,
+    coeff_variable,
+    implicit_solve,
+    predictor_weights,
+)
 from cbdf.composition import _error_constant
+from cbdf.errors import SingularJacobian, SingularMatrix
 from cbdf.polyroot import solve_dense
 
 
@@ -133,6 +140,26 @@ def stable_mask_reference(rows: np.ndarray) -> np.ndarray:
     out = np.zeros(rows.shape[0], dtype=bool)
     out[regular] = stable
     return out
+
+
+def newton_operator_reference(g0, tau, hist, jac):
+    """``(B, c) = (tau M^-1, M^-1 hist)`` of the Newton matrix M = g0 I - tau J by its
+    defining formula: a float identity, which ``g0 * eye`` casts to complex, the inverse
+    from ``solve_dense(M, eye)``, and the row-scaled singular check with ``.sum(axis=1)``
+    and its message."""
+    eye = np.eye(jac.shape[0])
+    tau_jac = tau * jac
+    try:
+        inv = solve_dense(g0 * eye - tau_jac, eye)
+    except SingularMatrix as exc:
+        raise SingularJacobian(str(exc)) from exc
+    size = float(np.maximum.reduce(np.abs(inv) * (abs(g0) + np.abs(tau_jac).sum(axis=1)),
+                                   axis=None))
+    if size > 1.0 / _SINGULAR_RTOL:
+        raise SingularJacobian(
+            f"row-scaled newton matrix inverse {size:.3e} above 1 / {_SINGULAR_RTOL:.0e}"
+        )
+    return tau * inv, inv @ hist
 
 
 def step_weights(window, tau):

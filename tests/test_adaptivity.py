@@ -28,6 +28,43 @@ def test_ratio_clamp_rule():
         assert ratio_clamp(p) == pytest.approx(p ** (1.0 / (p * (p - 1))))
 
 
+def test_controller_computes_its_clamp_once():
+    for p in range(1, 9):
+        ctl = StepController(p=p, tol=1e-8)
+        assert ctl.ell == ratio_clamp(p)
+        assert "ell" in vars(ctl)  # stored at construction, not a property
+
+
+@pytest.mark.parametrize("p", [4.5, 4.0, "4", None])
+def test_ratio_clamp_rejects_an_order_that_is_not_an_integer(p):
+    # 4.5 used to fall through to 2 ** (1 / 6)
+    with pytest.raises(ValueError, match="not an integer"):
+        ratio_clamp(p)
+
+
+@pytest.mark.parametrize("p", [4.0, 4.5])
+def test_controller_rejects_an_order_that_is_not_an_integer(p):
+    # p = 4.0 used to be accepted, and adaptive_drive then failed in bootstrap with a TypeError
+    with pytest.raises(ValueError, match="not an integer"):
+        StepController(p=p, tol=1e-8)
+
+
+@pytest.mark.parametrize("p", [4.5, 3.0])
+def test_min_ratio_rejects_an_order_that_is_not_an_integer(p):
+    # 4.5 used to raise a bare TypeError from range()
+    with pytest.raises(ValueError, match="not an integer"):
+        min_ratio(p)
+
+
+def test_numpy_integer_orders_stay_accepted():
+    assert ratio_clamp(np.int64(4)) == ratio_clamp(4)
+    assert min_ratio(np.int32(3), "steady") == min_ratio(3, "steady")
+    ctl = StepController(p=np.int64(2), tol=1e-6)
+    assert ctl.ell == ratio_clamp(2)
+    rec = adaptive_drive(builtin("cubic_decay"), 2, 0.05, ctl)
+    assert rec.times[-1] >= 1.0 - 1e-12
+
+
 def test_controller_validation():
     ctl = StepController(p=3, tol=1e-8)
     assert ctl.ell == pytest.approx(2.0 ** (1.0 / 3.0))

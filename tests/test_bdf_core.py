@@ -9,15 +9,16 @@ from hypothesis import strategies as st
 from cbdf.bdf_core import (
     HistoryWindow,
     ImplicitSolveConfig,
+    _newton_operator,
     coeff_fixed,
     coeff_variable,
     g_closed_form,
     implicit_solve,
     predictor_weights,
 )
-from cbdf.errors import DuplicateEps, DuplicateNode, OrderOutOfRange
+from cbdf.errors import DuplicateEps, DuplicateNode, OrderOutOfRange, SingularJacobian
 from cbdf.polyroot import solve_dense
-from conftest import draw_eps, solve_from, stage1_system, step_weights
+from conftest import draw_eps, newton_operator_reference, solve_from, stage1_system, step_weights
 
 TABLE_FIXED = {
     1: (1.0, -1.0),
@@ -312,6 +313,63 @@ def test_newton_solves_cubic(monkeypatch):
     y, _, _ = solve_from(lambda t, y: -(y**3), window, 0.1, *step_weights(window, 0.1), cfg)
     assert abs(y[0] ** 3 * 0.1 + y[0] - 1.0) < 1e-11
     assert len(factorizations) == 1
+
+
+# exact zeros of every sign beside finite complex entries; the magnitudes keep every
+# product of g0, tau and J finite
+_SIGNED_ZEROS = st.sampled_from([0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)])
+_ENTRY = st.one_of(_SIGNED_ZEROS, st.complex_numbers(max_magnitude=1e4, allow_nan=False,
+                                                      allow_infinity=False))
+_G0 = st.complex_numbers(min_magnitude=1e-3, max_magnitude=1e3, allow_nan=False,
+                         allow_infinity=False)
+# a real step, or a complex sub-step alpha1 tau with a positive real part
+_TAU = st.one_of(st.floats(1e-6, 10.0), st.builds(complex, st.floats(1e-6, 10.0),
+                                                   st.floats(-10.0, 10.0)))
+
+
+def _same_bits(got, want):
+    """Equal entries with equal signs of both parts, zeros included."""
+    assert got.dtype == want.dtype and got.shape == want.shape
+    np.testing.assert_array_equal(got, want)
+    for part in (np.real, np.imag):
+        assert np.array_equal(np.signbit(part(got)), np.signbit(part(want)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(d=st.integers(1, 6), g0=_G0, tau=_TAU, data=st.data())
+def test_newton_operator_keeps_its_formula(d, g0, tau, data):
+    # the cached complex identity and np.add.reduce give the bits of the formula's float
+    # identity and .sum, for B, c and the singular check alike
+    jac = np.array(data.draw(st.lists(_ENTRY, min_size=d * d, max_size=d * d))).reshape(d, d)
+    hist = np.array(data.draw(st.lists(_ENTRY, min_size=d, max_size=d)))
+    g0 = data.draw(st.sampled_from([g0, np.complex128(g0)]))  # weights[0] is a numpy scalar
+    try:
+        want = newton_operator_reference(g0, tau, hist, jac)
+    except SingularJacobian as exc:
+        with pytest.raises(SingularJacobian) as got:
+            _newton_operator(g0, tau, hist, jac)
+        assert str(got.value) == str(exc)
+        return
+    got = _newton_operator(g0, tau, hist, jac)
+    for x, y in zip(got, want):
+        _same_bits(x, y)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(d=st.integers(1, 6), g0=_G0, tau=_TAU, row=st.integers(0, 5), data=st.data())
+def test_newton_operator_singular_row_message(d, g0, tau, row, data):
+    # a row of M = g0 I - tau J that cancels to roundoff or to zero is singular, with the
+    # formula's message, whether the pivot check or the row-scaled check catches it
+    jac = np.array(data.draw(st.lists(_ENTRY, min_size=d * d, max_size=d * d))).reshape(d, d)
+    row %= d
+    jac[row] = 0.0
+    jac[row, row] = g0 / tau
+    hist = np.ones(d, dtype=complex)
+    with pytest.raises(SingularJacobian) as want:
+        newton_operator_reference(g0, tau, hist, jac)
+    with pytest.raises(SingularJacobian) as got:
+        _newton_operator(g0, tau, hist, jac)
+    assert str(got.value) == str(want.value)
 
 
 def test_singular_jacobian():

@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 from cbdf import stability
 from cbdf.adaptivity import ratio_clamp
 from cbdf.bdf_core import coeff_fixed, coeff_variable, implicit_solve, predictor_weights
-from cbdf.composition import build_setup, composed_solve, solve_alpha1
+from cbdf.cli import fixed_states
+from cbdf.composition import build_setup, composed_solve, ratios_from_window, solve_alpha1
 from cbdf.errors import EmptySector, NoAdmissibleRoot
+from cbdf.problems import bootstrap, builtin
 from cbdf.stability import (
     _BLOCK,
     _char_coeffs,
@@ -266,6 +268,36 @@ def test_stability_recurrence_is_the_composed_step_on_any_ladder(z, rng):
             assert np.max(np.abs(y_hat - c @ states)) <= 1e-12 * np.max(np.abs(c) @ np.abs(states))
             steps += 1
     assert steps >= 32  # the 16 geometric ladders, and 20 of 32 random ones here
+
+
+@pytest.mark.parametrize("tau", [0.01, 0.02])
+@pytest.mark.parametrize("p", [3, 4, 5])
+def test_global_error_follows_the_real_forwarded_recurrence(p, tau):
+    # stiff_arctan is y' = -50 (y - arctan(20 t)): a run's global error e obeys
+    # e_(n+1) = sum_j -Re(a[j] / a[p]) e_(n+1-p+j) + LTE_n, with a the recurrence of the
+    # run's own setup at z = -50 tau and LTE_n the step from exact history against the
+    # exact solution; this ties composed_solve, recurrence and Re forwarding together
+    prob = builtin("stiff_arctan")
+    window = bootstrap(prob, p, tau)
+    setup = build_setup(ratios_from_window(window, tau))
+    a = setup.recurrence([-50.0 * tau])[:, 0]
+    c = -(a[:-1] / a[-1]).real  # the weights of y_(n+1-p)..y_n, oldest first
+    run_times, states = fixed_states(prob, "composed", p, tau)
+    times = [t.real for t in window.times] + run_times
+    exact = np.array([prob.exact(t)[0] for t in times])
+    e = np.concatenate((np.zeros(p), states.real[:, 0] - exact[p:]))
+    jac = np.array([[-50.0 + 0j]])
+    worst = 0.0
+    for n in range(p - 1, len(times) - 1):
+        rows = np.zeros((p + 1, 1), dtype=complex)
+        rows[:p, 0] = exact[n + 1 - p:n + 1]
+        with np.errstate(all="ignore"):
+            y_hat, _, _ = composed_solve(prob.rhs, complex(times[n]), rows, None, jac, tau,
+                                         setup.alpha1, setup.stages)
+        lte = y_hat.real[0] - exact[n + 1]
+        worst = max(worst, abs(e[n + 1] - c @ e[n + 1 - p:n + 1] - lte))
+    assert np.max(np.abs(e)) > 1e-5  # the identity is tested on errors well above roundoff
+    assert worst <= 1e-13
 
 
 def _hand_expansion(setup, z):

@@ -1,0 +1,111 @@
+"""Fingerprint the benchmark's outputs: one sha256 per workload and seed.
+
+    python3 tools/output_hashes.py            # this checkout
+    python3 tools/output_hashes.py CHECKOUT   # another checkout of the repo
+
+For each workload of ``bench/workloads.py`` and seeds 0-2, the script
+runs the benchmark's own timed call, ``workloads._timed_call``, on the
+inputs ``workloads.inputs`` gives, and hashes what it returns. It also
+hashes the (error, |Im|) pairs of acceptance criterion 9's four
+fixed-step runs. Arrays hash by dtype, shape and ``tobytes()``, numbers by
+``repr``, so two checkouts print the same lines only when their outputs
+agree bit for bit. Run it once per checkout, each in a fresh process, and
+diff the outputs. The benchmark's files are imported, never changed.
+"""
+from __future__ import annotations
+
+import dataclasses
+import hashlib
+import sys
+from pathlib import Path
+
+SEEDS = (0, 1, 2)
+CRITERION_9 = (("stiff_arctan", 4), ("stiff_arctan", 5), ("lambert", 3), ("lambert", 5))
+CRITERION_9_TAU = 0.01
+
+
+def _feed(h, obj) -> None:
+    """Feed ``obj`` into the hash ``h``, with its type, so unlike values never collide."""
+    import numpy as np
+
+    if isinstance(obj, np.ndarray):
+        h.update(f"array {obj.dtype.str} {obj.shape}:".encode())
+        h.update(np.ascontiguousarray(obj).tobytes())
+    elif isinstance(obj, dict):
+        h.update(f"dict {len(obj)}:".encode())
+        for key, value in obj.items():
+            _feed(h, key)
+            _feed(h, value)
+    elif isinstance(obj, (list, tuple)):
+        h.update(f"{type(obj).__name__} {len(obj)}:".encode())
+        for value in obj:
+            _feed(h, value)
+    elif dataclasses.is_dataclass(obj):
+        h.update(f"{type(obj).__name__}:".encode())
+        for field in dataclasses.fields(obj):
+            _feed(h, field.name)
+            _feed(h, getattr(obj, field.name))
+    elif isinstance(obj, (bool, int, float, complex, str, np.generic)) or obj is None:
+        h.update(f"{type(obj).__name__} {obj!r};".encode())
+    else:
+        raise TypeError(f"no serialisation for {type(obj).__name__}")
+
+
+def digest(obj) -> str:
+    h = hashlib.sha256()
+    _feed(h, obj)
+    return h.hexdigest()
+
+
+def _problem(inp):
+    """The problem ``workloads.run_rep`` hands the timed call, with its plain RHS."""
+    from cbdf import problems
+
+    if "problem" not in inp:
+        return None
+    base = problems.builtin(inp["problem"])
+    t_end = inp.get("t_end", base.t_end)
+    return problems.ODEProblem(base.rhs, base.t0, base.y0, t_end, base.exact, base.name)
+
+
+def _criterion_9_pairs(name, p):
+    """Per-step (exact error, |Im|) pairs of criterion 9's propagating run."""
+    import numpy as np
+
+    from cbdf.bdf_core import ImplicitSolveConfig
+    from cbdf.composition import build_setup, composed_step, ratios_from_window
+    from cbdf.problems import bootstrap, builtin
+
+    prob, tau = builtin(name), CRITERION_9_TAU
+    cfg = ImplicitSolveConfig(tol=1e-13, max_iterations=200)
+    window = bootstrap(prob, p, tau, policy="exact")
+    setup = build_setup(ratios_from_window(window, tau))
+    pairs = []
+    for _ in range(p, round((prob.t_end - prob.t0) / tau) + 1):
+        window, out = composed_step(prob.rhs, window, tau, setup, cfg)
+        err = float(np.max(np.abs(prob.exact(window.times[-1].real) - out.y_real)))
+        pairs.append((err, float(np.max(np.abs(out.error_estimate_raw)))))
+    return np.array(pairs)
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    root = Path(argv[0] if argv else Path(__file__).resolve().parent.parent).resolve()
+    sys.path[:0] = [str(root / "src"), str(root / "bench")]
+    sys.dont_write_bytecode = True  # leave no cache files in the checkouts
+    import workloads
+    from spec import WORKLOADS
+
+    print(f"cbdf from {root / 'src'}")
+    for workload, _ in WORKLOADS:
+        for seed in SEEDS:
+            inp = workloads.inputs(workload, seed)
+            out = workloads._timed_call(workload, inp, _problem(inp))
+            print(f"{workload} seed {seed}: {digest(out)}")
+    for name, p in CRITERION_9:
+        print(f"criterion 9 {name} p={p}: {digest(_criterion_9_pairs(name, p))}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
