@@ -28,7 +28,7 @@ from .composition import (
     build_setup,
     composed_step,
     gbar_fixed,
-    ratios_from_window,
+    ratios_from_times,
     solve_alpha1,
 )
 from .polyroot import find_roots, solve_dense
@@ -55,7 +55,7 @@ __all__ = [
     "predictor_weights",
     "CompositionSetup",
     "ComposedStepOutput",
-    "ratios_from_window",
+    "ratios_from_times",
     "alpha1_polynomial",
     "solve_alpha1",
     "G_coefficients",

@@ -1,5 +1,6 @@
 """Step-size control for the composed flow: the ratio-clamped controller,
-the admissible-ratio lower bounds, and the adaptive driver.
+the admissible-ratio lower bounds, the adaptive driver, and ``march``, the
+one stepping loop of every run, fixed-grid or adaptive.
 """
 from __future__ import annotations
 
@@ -124,6 +125,26 @@ class TrajectoryRecord:
                 fh.write(row + "\n")
 
 
+def march(problem: ODEProblem, p: int, tau: float, next_plan) -> tuple:
+    """Step from the exact solution at p nodes ``tau`` apart: ``(times, states)``, every node
+    time and a ``[len(times), d]`` view of their states, both complex. Before each step,
+    ``next_plan(times, y_hat)`` gets the nodes so far and the last step's complex result (None
+    at first), and returns the step's ``(tau, alpha1, stages)`` for ``composed_solve``, or None
+    to stop. The steps write one state array, doubled when full, and carry the slope and J."""
+    window = bootstrap(problem, p, tau)
+    times, y_hat, slope, jac = list(window.times), None, window.slope, window.jac
+    Y = np.array(window.states)
+    with np.errstate(all="ignore"):
+        while (plan := next_plan(times, y_hat)) is not None:
+            tau, alpha1, stages = plan
+            if (n := len(times)) == len(Y):
+                Y = np.concatenate((Y, np.empty_like(Y)))
+            y_hat, slope, jac = composed_solve(problem.rhs, times[-1], Y[n - p:n + 1], slope, jac,
+                                               tau, alpha1, stages)
+            times.append(times[-1] + tau)
+    return times, Y[:len(times)]
+
+
 def adaptive_drive(
     problem: ODEProblem,
     p: int,
@@ -138,37 +159,24 @@ def adaptive_drive(
     stays within the clamp. Without clamps the controller is the raw
     rescale rule (growth capped at x10 when the estimate is zero), which
     can demand an inadmissible ratio and raise NoAdmissibleRoot. A run that
-    does not land ends past t_end, by less than its last step. The history
-    starts from the exact solution, in p rows of one [p + 1, d] buffer: each
-    step leaves its state in the last row, and then the rows shift by one. A
-    run that needs more than 500,000 steps raises NoConvergence. A p other
-    than ``ctl.p``, or a tau0 not positive and finite or whose start history
-    already reaches t_end, raises ValueError.
+    does not land ends past t_end, by less than its last step. It is ``march``
+    with a setup per step, on the newest p nodes, and the record's states
+    are rows of its state array. A run that needs more than 500,000 steps
+    raises NoConvergence. A p other than ``ctl.p``, or a tau0 not positive
+    and finite or whose start history already reaches t_end, raises ValueError.
     """
     if p != ctl.p:
         raise ValueError(f"base order {p} differs from the controller's order {ctl.p}")
     t_end = problem.t_end
     t_stop = t_end - 1e-14 * max(1.0, abs(t_end))  # t_end, to 1e-14 relative
-    window = bootstrap(problem, p, tau0, policy="exact")
-    tau = float(tau0)
-    rec = TrajectoryRecord([], [], [], [], [])
-    times, rows = list(window.times), np.concatenate((window.states, window.states[-1:]))
-    slope, jac, t = window.slope, window.jac, times[-1].real
-    with np.errstate(all="ignore"):
-        for _ in range(_MAX_STEPS):
-            if t >= t_stop:
-                if not rec.taus:
-                    raise ValueError(f"tau0 {tau0!r} leaves no step before t_end = {t_end!r}")
-                return rec
-            setup = build_setup(ratios_from_times(times, tau))
-            y_hat, slope, jac = composed_solve(problem.rhs, times[-1], rows, slope, jac, tau,
-                                               setup.alpha1, setup.stages)
-            rows[:-1] = rows[1:]
-            times = times[1:] + [times[-1] + tau]
-            t = times[-1].real
+    rec, setup, tau = TrajectoryRecord([], [], [], [], []), None, float(tau0)
+
+    def plan(times, y_hat):
+        nonlocal setup, tau
+        t = times[-1].real
+        if setup is not None:  # record the step just taken, then choose the next tau
             e_n = setup.error_estimate(y_hat.imag)
             rec.times.append(t)
-            rec.states.append(y_hat.real)
             rec.error_estimates.append(e_n)
             rec.alpha1s.append(setup.alpha1)
             rec.taus.append(tau)
@@ -180,10 +188,17 @@ def adaptive_drive(
                 if _TAU_FLOOR < remaining < tau_next and remaining >= tau / ctl.ell:
                     tau_next = remaining
             else:
-                if e_n == 0.0:
-                    tau_next = tau * 10.0
-                else:
-                    tau_next = tau * (ctl.tol / e_n) ** (1.0 / (ctl.p + 2))
-                tau_next = max(tau_next, _TAU_FLOOR)
+                growth = 10.0 if e_n == 0.0 else (ctl.tol / e_n) ** (1.0 / (ctl.p + 2))
+                tau_next = max(tau * growth, _TAU_FLOOR)
             tau = tau_next
-    raise NoConvergence(f"exceeded {_MAX_STEPS} steps before reaching t_end = {t_end}")
+        if t >= t_stop:
+            if not rec.taus:
+                raise ValueError(f"tau0 {tau0!r} leaves no step before t_end = {t_end!r}")
+            return None
+        if len(rec.taus) == _MAX_STEPS:
+            raise NoConvergence(f"exceeded {_MAX_STEPS} steps before reaching t_end = {t_end}")
+        setup = build_setup(ratios_from_times(times[-p:], tau))
+        return tau, setup.alpha1, setup.stages
+
+    rec.states = list(march(problem, p, tau0, plan)[1][p:].real)
+    return rec

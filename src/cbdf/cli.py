@@ -21,7 +21,6 @@ from . import adaptivity, composition, problems, stability
 from .bdf_core import MAX_ORDER, coeff_fixed, predictor_weights
 from .errors import CbdfError, NoAdmissibleRoot, OrderOutOfRange, UnknownProblem
 from .polyroot import find_roots
-from .problems import bootstrap
 
 
 def _fmt(x: float) -> str:
@@ -47,34 +46,30 @@ def fixed_states(problem, scheme: str, p: int, tau: float) -> tuple:
     steps p..n_total and a view of their states. The composed scheme of base
     order p carries p history points and has order p + 1. A step ``tau`` that is
     not positive and finite, or that leaves fewer than p steps on the interval,
-    raises ValueError. Step i, a ``composed_solve`` call in both schemes (BDF-p is one
-    sub-step), reads rows i..i+p-1 of one run-long state array and writes row i+p.
+    raises ValueError. It is ``adaptivity.march`` with one plan, BDF-p's one sub-step
+    or the setup of the bootstrap nodes' ratios, as a uniform grid has one ratio ladder.
     It ends at t0 + n_total tau, n_total = round((t_end - t0) / tau),
     up to tau / 2 off t_end: stiff_arctan at tau = 1/40 ends at 6.275, not 2 pi.
     """
     if scheme not in ("bdf", "composed"):
         raise ValueError(f"unknown scheme {scheme!r}")
-    window = bootstrap(problem, p, tau, policy="exact")
-    n_total = round((problem.t_end - problem.t0) / tau)
-    if n_total < p:
-        raise ValueError(f"tau {tau!r} gives {n_total} steps, fewer than the order {p}")
-    # a uniform grid has one ratio ladder, so one (alpha1, stages) plan serves every step
-    if scheme == "bdf":
-        predictor = predictor_weights(tuple(range(1 - p, 1)), 1.0)
-        alpha1, stages = 1.0, ((np.array(coeff_fixed(p)), np.array(predictor)),)
-    else:
-        setup = composition.build_setup(composition.ratios_from_window(window, tau))
-        alpha1, stages = setup.alpha1, setup.stages
-    Y = np.empty((n_total + 1,) + window.states.shape[1:], dtype=complex)
-    Y[:p] = window.states
-    t, slope, jac, times = window.times[-1], window.slope, window.jac, []
-    with np.errstate(all="ignore"):
-        for i in range(n_total + 1 - p):
-            _, slope, jac = composition.composed_solve(problem.rhs, t, Y[i:i + p + 1], slope, jac,
-                                                       tau, alpha1, stages)
-            t = t + tau
-            times.append(t.real)
-    return times, Y[p:]
+    plan = []  # n_total and the one (tau, alpha1, stages), from the first call on
+
+    def constant_plan(times, y_hat):
+        if not plan:  # the bootstrap nodes, so tau is known to be positive and finite
+            plan.append(n_total := round((problem.t_end - problem.t0) / tau))
+            if n_total < p:
+                raise ValueError(f"tau {tau!r} gives {n_total} steps, fewer than the order {p}")
+            if scheme == "bdf":
+                predictor = predictor_weights(tuple(range(1 - p, 1)), 1.0)
+                plan.append((tau, 1.0, ((np.array(coeff_fixed(p)), np.array(predictor)),)))
+            else:
+                setup = composition.build_setup(composition.ratios_from_times(times, tau))
+                plan.append((tau, setup.alpha1, setup.stages))
+        return plan[1] if len(times) <= plan[0] else None
+
+    times, states = adaptivity.march(problem, p, tau, constant_plan)
+    return [t.real for t in times[p:]], states[p:]
 
 
 def global_error(errors: dict, start: int, n_total: int) -> float:

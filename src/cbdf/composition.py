@@ -86,13 +86,9 @@ class ComposedStepOutput:
     error_estimate: float
 
 
-def ratios_from_window(window: HistoryWindow, tau: float) -> tuple:
-    """Backward node distances scaled by the upcoming step: r_j = (t_{n-1} - t_{n-j}) / tau."""
-    return ratios_from_times(window.times, tau)
-
-
 def ratios_from_times(times: Sequence[complex], tau: float) -> tuple:
-    """``ratios_from_window`` for the node times ``times``, oldest first."""
+    """Backward node distances of the node times ``times``, oldest first, scaled by the
+    upcoming step: r_j = (t_{n-1} - t_{n-j}) / tau."""
     return tuple([(times[-1] - t) / tau for t in reversed(times)])
 
 
@@ -370,7 +366,7 @@ def composed_step(
     real part of the second sub-step's slope as its slope; the output
     record holds that real part, the imaginary part and its error estimate.
     ``setup`` holds the constants for the window's step ratios,
-    ``build_setup(ratios_from_window(window, tau))``; a node count other than the
+    ``build_setup(ratios_from_times(window.times, tau))``; a node count other than the
     window's raises ValueError. ``composed_solve`` runs under one ``np.errstate`` on a
     copy of the window's states, and the checked, copying constructor builds the next window.
     """

@@ -181,17 +181,11 @@ def from_record(record: dict) -> ODEProblem:
     return prob
 
 
-def bootstrap(problem: ODEProblem, p: int, tau: float, policy: str = "exact") -> HistoryWindow:
-    """Length-p startup window sampled from the problem's exact solution on
-    the uniform grid t0 + j*tau, tau positive and finite.
-
-    Raises MissingExactSolution for a problem without one, and ValueError
-    for any ``policy`` other than ``"exact"``, the only one there is.
-    """
+def bootstrap(problem: ODEProblem, p: int, tau: float) -> HistoryWindow:
+    """Length-p startup window sampled from the problem's exact solution on the uniform
+    grid t0 + j*tau, tau positive and finite; MissingExactSolution without one."""
     if not 0 < tau < math.inf:
         raise ValueError(f"tau must be positive and finite, got {tau!r}")
-    if policy != "exact":
-        raise ValueError(f"unknown bootstrap policy {policy!r}")
     if problem.exact is None:
         raise MissingExactSolution(f"problem {problem.name!r} has no exact solution")
     times = tuple(problem.t0 + j * tau for j in range(p))

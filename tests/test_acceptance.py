@@ -18,7 +18,7 @@ from cbdf.composition import (
     build_setup,
     composed_step,
     gbar_fixed,
-    ratios_from_window,
+    ratios_from_times,
     solve_alpha1,
 )
 from cbdf.errors import NoAdmissibleRoot
@@ -292,8 +292,8 @@ def test_criterion_08_identity_suites():
 
 def _fidelity_run(prob, p, tau):
     """Propagating fixed-step run; per-step (exact error, |Im|) pairs."""
-    window = bootstrap(prob, p, tau, policy="exact")
-    setup = build_setup(ratios_from_window(window, tau))
+    window = bootstrap(prob, p, tau)
+    setup = build_setup(ratios_from_times(window.times, tau))
     n_total = round((prob.t_end - prob.t0) / tau)
     pairs = []
     for _ in range(p, n_total + 1):

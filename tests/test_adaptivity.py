@@ -198,6 +198,18 @@ def test_step_budget_exhaustion_is_a_solver_failure(monkeypatch, tmp_path):
     assert main(argv) == 3
 
 
+def test_step_budget_admits_a_run_of_exactly_that_many_steps(monkeypatch):
+    import cbdf.adaptivity
+
+    prob, ctl = builtin("cubic_decay"), StepController(p=2, tol=1e-6)
+    n = len(adaptive_drive(prob, 2, 0.01, ctl).taus)
+    monkeypatch.setattr(cbdf.adaptivity, "_MAX_STEPS", n)
+    assert len(adaptive_drive(prob, 2, 0.01, ctl).taus) == n
+    monkeypatch.setattr(cbdf.adaptivity, "_MAX_STEPS", n - 1)
+    with pytest.raises(NoConvergence, match=f"exceeded {n - 1} steps"):
+        adaptive_drive(prob, 2, 0.01, ctl)
+
+
 # the start history of order 2 ends at tau0, so 1.0 and 1.5 leave no step
 # before cubic_decay's t_end = 1
 @pytest.mark.parametrize("tau0", [0.0, -0.05, float("nan"), float("inf"), 1.0, 1.5])

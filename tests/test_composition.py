@@ -22,7 +22,7 @@ from cbdf.composition import (
     build_setup,
     composed_step,
     gbar_fixed,
-    ratios_from_window,
+    ratios_from_times,
     solve_alpha1,
 )
 from cbdf.errors import (
@@ -71,17 +71,17 @@ def window_cubic(p, tau, t0=0.0):
 
 def test_ratios_uniform():
     w = window_cubic(4, 0.5)
-    assert np.allclose(ratios_from_window(w, 0.5), (0.0, 1.0, 2.0, 3.0), atol=1e-14)
+    assert np.allclose(ratios_from_times(w.times, 0.5), (0.0, 1.0, 2.0, 3.0), atol=1e-14)
 
 
 def test_ratios_single_point():
     w = window_cubic(1, 0.25)
-    assert ratios_from_window(w, 0.3) == (0.0,)
+    assert ratios_from_times(w.times, 0.3) == (0.0,)
 
 
 def test_ratios_arithmetic():
     w = HistoryWindow((0.0, 1.0), (np.array([1.0 + 0j]), np.array([1.0 + 0j])))
-    assert np.allclose(ratios_from_window(w, 0.5), (0.0, 2.0), atol=1e-14)
+    assert np.allclose(ratios_from_times(w.times, 0.5), (0.0, 2.0), atol=1e-14)
 
 
 def test_alpha1_polynomial_uniform_p2():
@@ -482,7 +482,7 @@ def test_error_constant_empirical_band():
     exact = lambda t: 1.0 / np.sqrt(1.0 + 2.0 * t)
     tau = 0.0125
     window = window_cubic(p, tau)
-    setup = build_setup(ratios_from_window(window, tau))
+    setup = build_setup(ratios_from_times(window.times, tau))
     _, out = composed_step(lambda t, y: -(y**3), window, tau, setup, ImplicitSolveConfig(tol=1e-15))
     t_n = p * tau
     ratio = (exact(t_n) - out.y_real[0]) / out.error_estimate_raw[0]
@@ -491,7 +491,7 @@ def test_error_constant_empirical_band():
 
 def test_composed_step_p1_closed_form():
     window = HistoryWindow((0.0,), (np.array([1.0 + 0j]),))
-    setup = build_setup(ratios_from_window(window, 0.1))
+    setup = build_setup(ratios_from_times(window.times, 0.1))
     _, out = composed_step(lambda t, y: -y, window, 0.1, setup, ImplicitSolveConfig(tol=1e-15))
     assert abs(out.y_real[0] - 1.0 / 1.105) < 1e-12
     assert abs(out.error_estimate_raw[0]) < 1e-12
@@ -508,7 +508,7 @@ def test_composed_step_that_does_not_advance_time_is_refused(tau):
 
 def test_composed_step_forwards_real_window():
     window = window_cubic(2, 0.1)
-    setup = build_setup(ratios_from_window(window, 0.1))
+    setup = build_setup(ratios_from_times(window.times, 0.1))
     new, out = composed_step(lambda t, y: -(y**3), window, 0.1, setup)
     assert new.times[-1] == pytest.approx(0.2)
     assert np.allclose(new.states[-1].imag, 0.0)
@@ -525,7 +525,7 @@ def test_composed_step_forwards_slopes():
     for p in (1, 2, 3, 4):
         for tau in (1 / 160, 0.05):
             window = window_cubic(p, tau)
-            setup = build_setup(ratios_from_window(window, tau))
+            setup = build_setup(ratios_from_times(window.times, tau))
             new, out = composed_step(rhs, window, tau, setup)
             expect = rhs(new.times[-1], out.y_real)
             assert new.slope.shape == out.y_real.shape
@@ -554,7 +554,7 @@ def test_composed_step_substep_nodes_and_forwarded_times():
 
     base = window_cubic(3, 0.1)
     window = HistoryWindow(base.times, base.states, cubic(base.times[-1], base.states[-1]))
-    setup = build_setup(ratios_from_window(window, 0.1))
+    setup = build_setup(ratios_from_times(window.times, 0.1))
     new, _ = composed_step(rhs, window, 0.1, setup)
     t_last = window.times[-1]
     nodes = (t_last + setup.alpha1 * 0.1, t_last + 0.1)
@@ -577,7 +577,7 @@ def test_composed_step_is_two_bdf_steps():
             if kept:
                 window = HistoryWindow(window.times, window.states,
                                        jac=-3.0 * window.states[-1:] ** 2)
-            setup = build_setup(ratios_from_window(window, tau))
+            setup = build_setup(ratios_from_times(window.times, tau))
             new, out = composed_step(rhs, window, tau, setup)
             t_last = window.times[-1]
             t_half = t_last + setup.alpha1 * tau
@@ -599,7 +599,7 @@ def test_composed_step_is_two_bdf_steps():
 
 def test_composed_step_output_does_not_alias_the_window():
     window = window_cubic(2, 0.1)
-    setup = build_setup(ratios_from_window(window, 0.1))
+    setup = build_setup(ratios_from_times(window.times, 0.1))
     new, out = composed_step(lambda t, y: -(y**3), window, 0.1, setup)
     kept = new.states.copy()
     out.y_real[:] = 7.0
@@ -609,7 +609,7 @@ def test_composed_step_output_does_not_alias_the_window():
 def test_stepped_windows_are_read_only():
     rhs = lambda t, y: -(y**3)
     window = window_cubic(3, 0.1)
-    setup = build_setup(ratios_from_window(window, 0.1))
+    setup = build_setup(ratios_from_times(window.times, 0.1))
     stepped, _ = composed_step(rhs, window, 0.1, setup)
     for field in (stepped.states, stepped.slope):
         assert not field.flags.writeable
@@ -631,7 +631,7 @@ def test_composed_step_local_order():
     taus = (0.1, 0.05, 0.025, 0.0125)
     for tau in taus:
         window = window_cubic(2, tau)
-        setup = build_setup(ratios_from_window(window, tau))
+        setup = build_setup(ratios_from_times(window.times, tau))
         _, out = composed_step(lambda t, y: -(y**3), window, tau, setup, ImplicitSolveConfig(tol=1e-15))
         errs.append(abs(exact(2 * tau) - out.y_real[0]))
     slope = np.log(errs[-2] / errs[-1]) / np.log(2.0)
@@ -652,7 +652,7 @@ def test_global_order_on_a_variable_mesh(p):
         for n in range(p, n_steps + 1):
             tau = mesh[n] - mesh[n - 1]
             window, out = composed_step(lambda t, y: -(y**3), window, tau,
-                                        build_setup(ratios_from_window(window, tau)))
+                                        build_setup(ratios_from_times(window.times, tau)))
         errs.append(abs(exact(mesh[-1]) - out.y_real[0]))
     slope = np.log2(errs[0] / errs[1])
     assert abs(slope - (p + 1)) <= 0.15
@@ -689,7 +689,7 @@ def test_composed_step_matches_reference_substeps(rng, p):
         times = tuple(1.0 - rv * tau for rv in reversed(draw_ratios(rng, p)))
         window = HistoryWindow(times, tuple(np.array([exact(t) + 0j]) for t in times))
         try:
-            setup = build_setup(ratios_from_window(window, tau))
+            setup = build_setup(ratios_from_times(window.times, tau))
         except NoAdmissibleRoot:
             continue
         _, out = composed_step(rhs, window, tau, setup, cfg)

@@ -109,7 +109,7 @@ def test_bootstrap_p1():
 
 def test_bootstrap_exact_values():
     prob = builtin("cubic_decay")
-    win = bootstrap(prob, 3, 0.1, policy="exact")
+    win = bootstrap(prob, 3, 0.1)
     expect = [1.0, 1.0 / math.sqrt(1.2), 1.0 / math.sqrt(1.4)]
     for s, e in zip(win.states, expect):
         assert s[0] == pytest.approx(e, abs=1e-15)
@@ -118,13 +118,7 @@ def test_bootstrap_exact_values():
 def test_bootstrap_missing_exact():
     prob = ODEProblem(lambda t, y: -y, 0.0, np.array([1.0]), 1.0, None, "bare")
     with pytest.raises(MissingExactSolution):
-        bootstrap(prob, 2, 0.1, policy="exact")
-
-
-@pytest.mark.parametrize("policy", ["cascade", "", "Exact", None])
-def test_bootstrap_rejects_other_policies(policy):
-    with pytest.raises(ValueError, match="policy"):
-        bootstrap(builtin("cubic_decay"), 2, 0.1, policy=policy)
+        bootstrap(prob, 2, 0.1)
 
 
 @pytest.mark.parametrize("tau", [0.0, -0.1, float("nan"), float("inf")])

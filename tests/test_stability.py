@@ -11,7 +11,7 @@ from cbdf import stability
 from cbdf.adaptivity import ratio_clamp
 from cbdf.bdf_core import coeff_fixed, coeff_variable, implicit_solve, predictor_weights
 from cbdf.cli import fixed_states
-from cbdf.composition import build_setup, composed_solve, ratios_from_window, solve_alpha1
+from cbdf.composition import build_setup, composed_solve, ratios_from_times, solve_alpha1
 from cbdf.errors import EmptySector, NoAdmissibleRoot
 from cbdf.problems import bootstrap, builtin
 from cbdf.stability import (
@@ -279,7 +279,7 @@ def test_global_error_follows_the_real_forwarded_recurrence(p, tau):
     # exact solution; this ties composed_solve, recurrence and Re forwarding together
     prob = builtin("stiff_arctan")
     window = bootstrap(prob, p, tau)
-    setup = build_setup(ratios_from_window(window, tau))
+    setup = build_setup(ratios_from_times(window.times, tau))
     a = setup.recurrence([-50.0 * tau])[:, 0]
     c = -(a[:-1] / a[-1]).real  # the weights of y_(n+1-p)..y_n, oldest first
     run_times, states = fixed_states(prob, "composed", p, tau)

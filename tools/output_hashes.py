@@ -7,10 +7,15 @@ For each workload of ``bench/workloads.py`` and seeds 0-2, the script
 runs the benchmark's own timed call, ``workloads._timed_call``, on the
 inputs ``workloads.inputs`` gives, and hashes what it returns. It also
 hashes the (error, |Im|) pairs of acceptance criterion 9's four
-fixed-step runs. Arrays hash by dtype, shape and ``tobytes()``, numbers by
-``repr``, so two checkouts print the same lines only when their outputs
-agree bit for bit. Run it once per checkout, each in a fresh process, and
-diff the outputs. The benchmark's files are imported, never changed.
+fixed-step runs, and runs that no workload makes: ``cli.fixed_states`` on
+``stiff_arctan``, which reaches Newton and keeps its Jacobian, and on
+``cubic_decay``, both on [0, 1], for BDF p = 1..6 and composed p = 1..5 at
+two steps; and ``adaptive_drive`` without clamps. A run that raises
+hashes as the text of its error. Arrays hash by dtype, shape and
+``tobytes()``, numbers by ``repr``, so two checkouts print the same lines
+only when their outputs agree bit for bit. Run it once per checkout, each
+in a fresh process, and diff the outputs. The benchmark's files are
+imported, never changed.
 """
 from __future__ import annotations
 
@@ -22,6 +27,12 @@ from pathlib import Path
 SEEDS = (0, 1, 2)
 CRITERION_9 = (("stiff_arctan", 4), ("stiff_arctan", 5), ("lambert", 3), ("lambert", 5))
 CRITERION_9_TAU = 0.01
+FIXED = (("stiff_arctan", "bdf", range(1, 7)), ("stiff_arctan", "composed", range(1, 6)),
+         ("cubic_decay", "bdf", range(1, 7)), ("cubic_decay", "composed", range(1, 6)))
+FIXED_TAUS = (1 / 20, 1 / 64)
+# (problem, p, tol) at tau0 = 0.01; the lambert run raises NoAdmissibleRoot
+NO_CLAMPS = (("cubic_decay", 2, 1e-8), ("stiff_arctan", 1, 1e-6), ("stiff_arctan", 3, 1e-4),
+             ("forced_linear", 2, 1e-6), ("lambert", 3, 1e-6))
 
 
 def _feed(h, obj) -> None:
@@ -68,18 +79,44 @@ def _problem(inp):
     return problems.ODEProblem(base.rhs, base.t0, base.y0, t_end, base.exact, base.name)
 
 
+def _outcome(fn, *args, **kwargs):
+    """``fn(*args, **kwargs)``, or the text of the error it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except Exception as exc:
+        return f"raised {type(exc).__name__}: {exc}"
+
+
+def _fixed_runs(name, scheme, orders):
+    """``cli.fixed_states`` of every order and step of FIXED_TAUS, on [0, 1]."""
+    from cbdf import problems
+    from cbdf.cli import fixed_states
+
+    base = problems.builtin(name)
+    prob = problems.ODEProblem(base.rhs, base.t0, base.y0, 1.0, base.exact, base.name)
+    return [_outcome(fixed_states, prob, scheme, p, tau) for p in orders for tau in FIXED_TAUS]
+
+
+def _no_clamps_run(name, p, tol):
+    from cbdf.adaptivity import StepController, adaptive_drive
+    from cbdf.problems import builtin
+
+    return _outcome(adaptive_drive, builtin(name), p, 0.01, StepController(p=p, tol=tol),
+                    clamps=False)
+
+
 def _criterion_9_pairs(name, p):
     """Per-step (exact error, |Im|) pairs of criterion 9's propagating run."""
     import numpy as np
 
     from cbdf.bdf_core import ImplicitSolveConfig
-    from cbdf.composition import build_setup, composed_step, ratios_from_window
+    from cbdf.composition import build_setup, composed_step, ratios_from_times
     from cbdf.problems import bootstrap, builtin
 
     prob, tau = builtin(name), CRITERION_9_TAU
     cfg = ImplicitSolveConfig(tol=1e-13, max_iterations=200)
-    window = bootstrap(prob, p, tau, policy="exact")
-    setup = build_setup(ratios_from_window(window, tau))
+    window = bootstrap(prob, p, tau)
+    setup = build_setup(ratios_from_times(window.times, tau))
     pairs = []
     for _ in range(p, round((prob.t_end - prob.t0) / tau) + 1):
         window, out = composed_step(prob.rhs, window, tau, setup, cfg)
@@ -104,6 +141,10 @@ def main(argv=None) -> int:
             print(f"{workload} seed {seed}: {digest(out)}")
     for name, p in CRITERION_9:
         print(f"criterion 9 {name} p={p}: {digest(_criterion_9_pairs(name, p))}")
+    for name, scheme, orders in FIXED:
+        print(f"fixed_states {name} {scheme}: {digest(_fixed_runs(name, scheme, orders))}")
+    for name, p, tol in NO_CLAMPS:
+        print(f"no clamps {name} p={p} tol={tol}: {digest(_no_clamps_run(name, p, tol))}")
     return 0
 
 
