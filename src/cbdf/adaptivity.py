@@ -5,25 +5,17 @@ one stepping loop of every run, fixed-grid or adaptive.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .bdf_core import _order
 from .composition import build_setup, composed_solve, crossing_ratio, ratios_from_times
 from .errors import NoConvergence
 from .problems import ODEProblem, bootstrap
 
 _TAU_FLOOR = 1e-12  # smallest step the controller proposes
 _MAX_STEPS = 500000
-
-
-def _order(p) -> int:
-    """``p`` as an int; ValueError for an order that is not an integer, such as 4.0."""
-    try:
-        return operator.index(p)
-    except TypeError:
-        raise ValueError(f"base order {p!r} is not an integer") from None
 
 
 def ratio_clamp(p: int) -> float:

@@ -130,9 +130,18 @@ class ImplicitSolveConfig:
             raise ValueError("max_iterations must be at least 1")
 
 
-@lru_cache(maxsize=None)
+def _order(p) -> int:
+    """``p`` as an int; ValueError for an order that is not an integer, such as 4.0."""
+    try:
+        return operator.index(p)
+    except TypeError:
+        raise ValueError(f"order {p!r} is not an integer") from None
+
+
+@lru_cache(maxsize=None, typed=True)  # typed: a cached 4 must not answer for 4.0
 def coeff_fixed(p: int) -> tuple:
     """Uniform-grid weights (g_0, ..., g_p) of order p, exact rationals evaluated in floats."""
+    p = _order(p)
     if not 1 <= p <= MAX_ORDER:
         raise OrderOutOfRange(f"order must be in [1, {MAX_ORDER}], got {p}")
     weights = []

@@ -58,16 +58,23 @@ class CompositionSetup:
         """The local-error estimate of a step whose result has imaginary part ``raw``."""
         return abs(self.error_constant) * float(np.maximum.reduce(np.abs(raw)))
 
-    def recurrence(self, z) -> np.ndarray:
+    def recurrence(self, z, out=None) -> np.ndarray:
         """Ascending, coefficient-major ``[p + 1, N]`` polynomial a of one step on y' = lambda*y
         at every z = tau*lambda of ``z``: the history y_(n+1-p)..y_n steps to the y_(n+1) with
         sum_j a[j] y_(n+1-p+j) = 0, so y_(n+1) = sum_j c_j y_(n+1-j), where c_j = -a[p - j] / a[p]
         multiplies y_(n+1-j), j = 1..p. Cleared of the first sub-step's pole, lead = alpha1 z - g_0:
         a[p] = lead (G_0 - (1 - alpha1) z), a[p - i] = lead G_(i+1) + G_1 g_i, a[0] = G_1 g_p,
-        in this operand order, as FMA rounds by it."""
+        in this operand order, as FMA rounds by it. Written into ``out``, a complex
+        ``[p + 1, N]`` array, when given, as numpy's ``out=``."""
         z, p, a1 = np.asarray(z, dtype=complex).ravel(), self.p, self.alpha1
         g, G = (weights.tolist() for weights, _ in self.stages)
-        a = np.empty((p + 1, z.size), dtype=complex)
+        if out is None:
+            a = np.empty((p + 1, z.size), dtype=complex)
+        elif out.shape == (p + 1, z.size) and out.dtype == complex:
+            a = out
+        else:
+            raise ValueError(f"out must be a complex {(p + 1, z.size)} array, "
+                             f"got {out.dtype} {out.shape}")
         lead = a1 * z - g[0]
         np.multiply(lead, G[0] - (1.0 - a1) * z, out=a[p])
         for i in range(1, p):

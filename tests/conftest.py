@@ -1,6 +1,7 @@
 """Shared oracle builders: dense moment systems, divided-difference step
 weights, the implicit step on a window's arrays, the Newton operator by its
-formula, a row-major Schur-Cohn classifier and randomized draws.
+formula, row-major and coefficient-major Schur-Cohn classifiers and randomized
+draws.
 
 The dense systems here are the independent reference route for the
 closed-form coefficient formulas, so they are assembled from scratch
@@ -140,6 +141,37 @@ def stable_mask_reference(rows: np.ndarray) -> np.ndarray:
     out = np.zeros(rows.shape[0], dtype=bool)
     out[regular] = stable
     return out
+
+
+def schur_cohn_reference(a: np.ndarray) -> tuple:
+    """``(stable, final)`` of the coefficient-major Schur-Cohn recursion as the
+    stability module ran it before its buffers moved to the caller: the flags
+    of the points of an ascending [n + 1, N] array, and the [1, m] coefficients
+    of the last pass at its m regular points. Every array is made afresh; each
+    product keeps its operand order, a0 first in the tail product, because FMA
+    rounds by it. The input is left unchanged."""
+    a = a.copy()
+    n = len(a) - 1
+    mag = np.abs(a)
+    regular = mag[n] > 1e-13 * np.maximum(np.max(mag, axis=0), 1e-300)
+    a, mag = np.compress(regular, a, axis=1), np.compress(regular, mag, axis=1)
+    a *= ((1.0 + _ABS_TOL) ** np.arange(n + 1))[:, None]
+    spare, tail = np.empty_like(a[1:]), np.empty_like(a[1:])
+    stable = np.ones(a.shape[1], dtype=bool)
+    for k in range(n, 0, -1):
+        a0 = a[0]
+        np.abs(a0, out=mag[0])
+        np.abs(a[k], out=mag[1])
+        stable &= mag[0] < mag[1]
+        new, t = spare[:k], tail[:k]
+        np.multiply(np.conj(a[k]), a[1 : k + 1], out=new)
+        np.conjugate(a[k - 1 :: -1], out=t)
+        new -= np.multiply(a0, t, out=t)
+        new *= 1.0 / np.maximum(np.max(np.abs(new, out=mag[:k]), axis=0), 1e-300)
+        a, spare = spare, a
+    out = np.zeros(regular.size, dtype=bool)
+    out[regular] = stable
+    return out, a[:1].copy()
 
 
 def newton_operator_reference(g0, tau, hist, jac):

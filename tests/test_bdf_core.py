@@ -42,6 +42,15 @@ def test_coeff_fixed_range(p):
         coeff_fixed(p)
 
 
+@pytest.mark.parametrize("p", [4.0, 4.5, "4", None])
+def test_coeff_fixed_rejects_an_order_that_is_not_an_integer(p):
+    # each used to raise a bare TypeError, and 4.0 returned order 4's weights once
+    # np.int64(4) had filled their cache entry, whose key 4.0 equals
+    assert coeff_fixed(np.int64(4)) == coeff_fixed(4)
+    with pytest.raises(ValueError, match="not an integer"):
+        coeff_fixed(p)
+
+
 def test_coeff_variable_backward_euler():
     c = coeff_variable((0.0,), 0.3)
     assert np.allclose(c, (1.0, -1.0), atol=1e-14)

@@ -18,13 +18,14 @@ from cbdf.stability import (
     _BLOCK,
     _char_coeffs,
     _stable_mask,
+    _workspace,
     region_raster,
     region_to_csv,
     region_to_pbm,
     stability_angle,
     theta_coefficients,
 )
-from conftest import draw_ratios, stable_mask_reference
+from conftest import draw_ratios, schur_cohn_reference, stable_mask_reference
 
 
 def _stable_at(order, z, scheme="composed"):
@@ -34,6 +35,14 @@ def _stable_at(order, z, scheme="composed"):
 def _as_rows(coeffs):
     """Row-major descending [N, k + 1] copy of coefficient-major ascending coefficients."""
     return coeffs[::-1].T.copy()
+
+
+def _cell_centers(bounds, nx, ny):
+    """The raveled z of a raster's cell centers, bit for bit and in the order of
+    ``region_raster``, which divides each span before it scales it."""
+    xs = bounds[0] + (np.arange(nx) + 0.5) * ((bounds[1] - bounds[0]) / nx)
+    ys = bounds[2] + (np.arange(ny) + 0.5) * ((bounds[3] - bounds[2]) / ny)
+    return (xs[:, None] + 1j * ys[None, :]).ravel()
 
 
 @pytest.mark.parametrize("p", range(1, 9))
@@ -183,6 +192,29 @@ def test_stable_mask_equals_row_major_reference(scheme_order, points):
     assert np.array_equal(_stable_mask(coeffs), want)
 
 
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(scheme_order=_SCHEME_ORDERS, points=_POINTS, extra=st.integers(0, 5))
+def test_schur_cohn_passes_keep_their_operand_order(scheme_order, points, extra):
+    # the last pass's coefficients, read from the caller's buffers, are bit for
+    # bit those of the recursion that made its own arrays: a product in another
+    # operand order, such as np.multiply(t, a0), rounds differently under FMA.
+    # The batch sits in the front of wider buffers, as a raster's last block
+    # does, and the buffers start out as nan and False.
+    scheme, order = scheme_order
+    coeffs = _batch(scheme, order, points)
+    want, want_final = schur_cohn_reference(coeffs)
+    n, size = len(coeffs) - 1, coeffs.shape[1]
+    buf = np.full((n + 1, size + extra), complex(np.nan))
+    buf[:, :size] = coeffs
+    work = _workspace(n, size + extra)
+    for b in work[:3]:
+        b.fill(np.nan)
+    work[3].fill(False)
+    assert np.array_equal(_stable_mask(buf[:, :size], work), want)
+    final = (buf if n % 2 == 0 else work[1])[:1, : want_final.shape[1]]
+    assert final.tobytes() == want_final.tobytes()
+
+
 @pytest.mark.parametrize(
     "scheme,order", [("composed", o) for o in range(2, 10)] + [("bdf", o) for o in range(1, 7)]
 )
@@ -190,9 +222,7 @@ def test_raster_equals_row_major_reference(scheme, order):
     # several blocks, the last one partial, against one reference pass over every point
     bounds, nx, ny = (-9.0, 3.0, -7.0, 8.0), 97, 131
     assert nx * ny > 2 * _BLOCK and nx * ny % _BLOCK
-    xs = bounds[0] + (np.arange(nx) + 0.5) * (bounds[1] - bounds[0]) / nx
-    ys = bounds[2] + (np.arange(ny) + 0.5) * (bounds[3] - bounds[2]) / ny
-    z = (xs[:, None] + 1j * ys[None, :]).ravel()
+    z = _cell_centers(bounds, nx, ny)
     want = stable_mask_reference(_as_rows(_char_coeffs(order, z, scheme))).reshape(nx, ny)
     assert want.any() and not want.all()
     assert np.array_equal(region_raster(order, bounds, nx, ny, scheme=scheme).mask, want)
@@ -327,6 +357,21 @@ def test_recurrence_keeps_the_hand_expansions_bits():
             assert np.array_equal(_char_coeffs(p + 1, z, "composed"), _hand_expansion(setup, z))
 
 
+def test_coefficients_write_into_out():
+    # a raster's last block writes into the front of its block's buffer
+    z = _cell_centers((-8.0, 8.0, -8.0, 8.0), 9, 7)
+    for scheme, order in (("composed", 2), ("composed", 9), ("bdf", 1), ("bdf", 6)):
+        want = _char_coeffs(order, z, scheme)
+        buf = np.full((len(want), z.size + 3), complex(np.nan))
+        out = buf[:, : z.size]
+        assert _char_coeffs(order, z, scheme, out) is out
+        assert np.array_equal(out, want) and np.isnan(buf[:, z.size :]).all()
+    setup = build_setup((0.0, 1.0, 2.0))
+    for bad in (np.empty((3, 4), dtype=complex), np.empty((4, 5), dtype=complex), np.empty((4, 4))):
+        with pytest.raises(ValueError, match="out must be a complex"):
+            setup.recurrence(z[:4], out=bad)
+
+
 @pytest.mark.parametrize("z", _RECURRENCE_Z)
 def test_stability_recurrence_is_the_bdf_step(z, rng):
     for p in range(1, 7):
@@ -359,14 +404,54 @@ def test_raster_matches_pointwise():
     # grids below one block, and grids of several blocks with a partial last
     bounds = (-9.0, 3.0, -7.0, 8.0)
     for nx, ny in ((5, 3), (40, 61), (97, 131), (64, 128)):
-        xs = bounds[0] + (np.arange(nx) + 0.5) * (bounds[1] - bounds[0]) / nx
-        ys = bounds[2] + (np.arange(ny) + 0.5) * (bounds[3] - bounds[2]) / ny
-        z = (xs[:, None] + 1j * ys[None, :]).ravel()
+        z = _cell_centers(bounds, nx, ny)
         for scheme, order in (("composed", 3), ("composed", 9), ("bdf", 6)):
             whole = _stable_mask(_char_coeffs(order, z, scheme)).reshape(nx, ny)
             region = region_raster(order, bounds, nx, ny, scheme=scheme)
             assert np.array_equal(region.mask, whole), (nx, ny, scheme, order)
     assert 97 * 131 % _BLOCK and 97 * 131 > 2 * _BLOCK and 40 * 61 < _BLOCK
+
+
+# a grid that is a multiple of neither block size, of more than two blocks of 1,000
+_COUPLING_GRID = ((-9.0, 3.0, -7.0, 8.0), 37, 59)
+_COUPLING_CASES = [("composed", 3), ("composed", 9), ("bdf", 6)]
+
+
+@pytest.mark.parametrize("block", [7, 1000])
+@pytest.mark.parametrize("scheme,order", _COUPLING_CASES)
+def test_raster_blocks_share_no_state(monkeypatch, block, scheme, order):
+    # every block of a raster reuses one workspace: the blocked raster is one
+    # whole-array classification of its points
+    bounds, nx, ny = _COUPLING_GRID
+    assert nx * ny % block and nx * ny > 2 * block
+    monkeypatch.setattr(stability, "_BLOCK", block)
+    whole = _stable_mask(_char_coeffs(order, _cell_centers(bounds, nx, ny), scheme))
+    assert whole.any() and not whole.all()
+    assert np.array_equal(region_raster(order, bounds, nx, ny, scheme=scheme).mask.ravel(), whole)
+
+
+@pytest.mark.parametrize("block", [7, 1000])
+@pytest.mark.parametrize("scheme,order", _COUPLING_CASES)
+def test_raster_block_with_irregular_points(monkeypatch, block, scheme, order):
+    # block 1 holds a nan coefficient and a vanishing leading coefficient, so
+    # it is compressed into the front of the shared buffers; the regular
+    # blocks after it must not see what it leaves there
+    bounds, nx, ny = _COUPLING_GRID
+    z = _cell_centers(bounds, nx, ny)
+    nan_z, vanishing_z = z[block + 1], z[block + 4]
+    char_coeffs = stability._char_coeffs
+
+    def injected(order, z, scheme, out=None):
+        a = char_coeffs(order, z, scheme, out)
+        a[0, z == nan_z] = np.nan
+        a[-1, z == vanishing_z] = 0.0
+        return a
+
+    monkeypatch.setattr(stability, "_BLOCK", block)
+    monkeypatch.setattr(stability, "_char_coeffs", injected)
+    want = stable_mask_reference(_as_rows(injected(order, z, scheme)))
+    assert want.any() and not want[[block + 1, block + 4]].any()
+    assert np.array_equal(region_raster(order, bounds, nx, ny, scheme=scheme).mask.ravel(), want)
 
 
 def test_raster_memory_is_bounded():
@@ -415,6 +500,29 @@ def test_raster_accepts_numpy_integer_sizes():
 def test_raster_rejects_bad_bounds(bounds):
     with pytest.raises(ValueError, match="need finite bounds"):
         region_raster(3, bounds, 2, 2)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: stability_angle(4.0),
+    lambda: stability_angle(3.5, scheme="bdf"),
+    lambda: region_raster(4.5, (-1.0, 1.0, -1.0, 1.0), 2, 2),
+    lambda: region_raster(3.0, (-1.0, 1.0, -1.0, 1.0), 2, 2, scheme="bdf"),
+    lambda: theta_coefficients(3.0, 0.5),
+    lambda: theta_coefficients("3", 0.5),
+])
+def test_non_integer_orders_raise_value_error(call):
+    # each used to raise a bare TypeError from range(), or to answer from a cache
+    with pytest.raises(ValueError, match="not an integer"):
+        call()
+
+
+def test_numpy_integer_orders_stay_accepted_in_stability():
+    bounds = (-1.0, 1.0, -1.0, 1.0)
+    assert stability_angle(np.int64(4)) == stability_angle(4)
+    assert stability_angle(np.int32(5), scheme="bdf") == stability_angle(5, scheme="bdf")
+    want = region_raster(3, bounds, 3, 2).mask
+    assert np.array_equal(region_raster(np.int64(3), bounds, 3, 2).mask, want)
+    assert theta_coefficients(np.int64(3), 0.5) == theta_coefficients(3, 0.5)
 
 
 def test_raster_left_half_plane_composed2():

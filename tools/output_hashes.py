@@ -10,7 +10,10 @@ hashes the (error, |Im|) pairs of acceptance criterion 9's four
 fixed-step runs, and runs that no workload makes: ``cli.fixed_states`` on
 ``stiff_arctan``, which reaches Newton and keeps its Jacobian, and on
 ``cubic_decay``, both on [0, 1], for BDF p = 1..6 and composed p = 1..5 at
-two steps; and ``adaptive_drive`` without clamps. A run that raises
+two steps; ``adaptive_drive`` without clamps; and stability rasters:
+BDF orders 1..6 at the workload's 201^2 cells on [-8, 8]^2, and a composed
+one of 97 x 131 cells, a size that is not a multiple of the
+classification block. A run that raises
 hashes as the text of its error. Arrays hash by dtype, shape and
 ``tobytes()``, numbers by ``repr``, so two checkouts print the same lines
 only when their outputs agree bit for bit. Run it once per checkout, each
@@ -33,6 +36,9 @@ FIXED_TAUS = (1 / 20, 1 / 64)
 # (problem, p, tol) at tau0 = 0.01; the lambert run raises NoAdmissibleRoot
 NO_CLAMPS = (("cubic_decay", 2, 1e-8), ("stiff_arctan", 1, 1e-6), ("stiff_arctan", 3, 1e-4),
              ("forced_linear", 2, 1e-6), ("lambert", 3, 1e-6))
+# (scheme, order, bounds, nx, ny) of region_raster
+RASTERS = tuple(("bdf", p, (-8.0, 8.0, -8.0, 8.0), 201, 201) for p in range(1, 7)) + (
+    ("composed", 7, (-9.0, 3.0, -7.0, 8.0), 97, 131),)
 
 
 def _feed(h, obj) -> None:
@@ -145,6 +151,11 @@ def main(argv=None) -> int:
         print(f"fixed_states {name} {scheme}: {digest(_fixed_runs(name, scheme, orders))}")
     for name, p, tol in NO_CLAMPS:
         print(f"no clamps {name} p={p} tol={tol}: {digest(_no_clamps_run(name, p, tol))}")
+    from cbdf.stability import region_raster
+
+    for scheme, order, bounds, nx, ny in RASTERS:
+        region = _outcome(region_raster, order, bounds, nx, ny, scheme=scheme)
+        print(f"raster {scheme} {order} {nx}x{ny}: {digest(region)}")
     return 0
 
 
